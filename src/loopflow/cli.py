@@ -13,6 +13,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -22,6 +23,7 @@ from . import __version__
 from .energy import (
     ConfigTangent,
     Configuration,
+    _lift_to_json,
     candidate_gradients,
     candidate_to_dict,
     dplus_distance,
@@ -97,6 +99,16 @@ def _resolve_params(scenario: dict, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is not None:
             params[key] = val
+    tol = params["tol"]
+    try:
+        tol_ok = isinstance(tol, (int, float)) and not isinstance(tol, bool) and math.isfinite(tol)
+    except OverflowError:  # an int beyond the float range
+        tol_ok = False
+    if not (tol_ok and tol > 0):
+        raise ValidationError(f"params.tol: expected a finite number > 0, got {tol!r}")
+    samples = params["samples"]
+    if samples is not None and (not isinstance(samples, int) or isinstance(samples, bool) or samples < 1):
+        raise ValidationError(f"params.samples: expected null or an integer >= 1, got {samples!r}")
     return params
 
 
@@ -160,17 +172,11 @@ def _run_dist(space, inputs, params, seed):
                 "length": s.length,
                 "v0": [float(v) for v in s.v0],
                 "v1": [float(v) for v in s.v1],
-                "lift": _json_lift(s.lift),
+                "lift": _lift_to_json(s.lift),
             }
             for s in segs
         ],
     }
-
-
-def _json_lift(lift):
-    if isinstance(lift, tuple):
-        return [_json_lift(v) for v in lift]
-    return int(lift)
 
 
 def _run_dplus(space, inputs, params, seed):

@@ -12,6 +12,7 @@ gradient-like, and its negative is the steepest one-sided descent direction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -174,6 +175,34 @@ def dplus_uniform_energy(
     return total if normalized else 2.0 * x.k * total
 
 
+def _candidate(x: Configuration, combo) -> CandidateGradient:
+    """The candidate gradient of one choice of minimizer per segment:
+    component i is ``l_{i-1} v1_{i-1} - l_i v0_i``."""
+    comps = tuple(
+        combo[i - 1].length * combo[i - 1].v1 - combo[i].length * combo[i].v0
+        for i in range(x.k)
+    )
+    return CandidateGradient(
+        vecs=comps,
+        choice=tuple(s.lift for s in combo),
+        magnitude=float(np.linalg.norm(np.concatenate(comps))),
+    )
+
+
+def _distinct(x: Configuration, combos) -> list[tuple[tuple, CandidateGradient]]:
+    """``(combo, candidate)`` for each combo whose candidate differs from every
+    earlier kept one by more than ``COMPONENT_DEDUP_TOL`` in some entry."""
+    out, kept = [], []
+    for combo in combos:
+        cand = _candidate(x, combo)
+        stacked = cand.stacked()
+        if kept and np.any(np.all(np.abs(stacked - np.array(kept)) <= COMPONENT_DEDUP_TOL, axis=1)):
+            continue
+        kept.append(stacked)
+        out.append((combo, cand))
+    return out
+
+
 def candidate_gradients(
     x: Configuration,
     tol: float = DEFAULT_TOL,
@@ -183,6 +212,8 @@ def candidate_gradients(
 
     Component i is ``l_{i-1} v1_{i-1} - l_i v0_i`` for the chosen segments.
     Results are deduplicated componentwise and ordered by lift descriptors.
+    The listing is exhaustive, so its cost is the product of the segment
+    multiplicities; it raises ``ResourceLimitError`` above ``max_tuples``.
     """
     seglists = segment_geodesics(x, tol)
     count = 1
@@ -192,36 +223,105 @@ def candidate_gradients(
             raise ResourceLimitError(
                 f"candidate enumeration exceeds the cap of {max_tuples} tuples"
             )
-    out: list[CandidateGradient] = []
-    for combo in itertools.product(*seglists):
-        comps = []
-        for i in range(x.k):
-            prev = combo[(i - 1) % x.k]
-            cur = combo[i]
-            comps.append(prev.length * prev.v1 - cur.length * cur.v0)
-        stacked = np.concatenate(comps)
-        dup = any(
-            np.all(np.abs(stacked - c.stacked()) <= COMPONENT_DEDUP_TOL) for c in out
-        )
-        if dup:
+    return [cand for _, cand in _distinct(x, itertools.product(*seglists))]
+
+
+# Width of the magnitude band listed by ``_extreme_candidates``, relative to
+# max(1, magnitude).  It covers float rounding between the transfer-matrix
+# scores and ``np.linalg.norm``, and the drift of ``COMPONENT_DEDUP_TOL``.
+_BAND_REL = 1e-9
+
+
+def _extreme_candidates(
+    x: Configuration, tol: float, maximize: bool, magnitude_tol: float = 0.0
+) -> list[tuple[tuple, CandidateGradient]]:
+    """The deduplicated ``(combo, candidate)`` pairs of extreme norm, in the
+    order of ``candidate_gradients``, without listing every lift tuple.
+
+    The squared norm of a candidate is a sum over adjacent segment pairs of
+    the cycle, ``sum_i f_i[c_{i-1}, c_i]`` with
+    ``f_i[a, b] = |l_{i-1} v1_{i-1}[a] - l_i v0_i[b]|^2``.  With the choice on
+    segment 0 fixed, a backward max-plus (min-plus) pass around the cycle
+    gives the best completion of every partial choice, in O(k m^2).  A
+    depth-first walk in ``itertools.product`` order then visits only the
+    tuples whose score can still reach the band: magnitude within
+    ``magnitude_tol`` plus a relative ``_BAND_REL`` of the maximum when
+    ``maximize``, else at most ``tol + _BAND_REL``.  The band is wider than
+    float rounding and the deduplication tolerance, so every candidate the
+    exhaustive listing keeps at the extreme is found, bit for bit.
+    """
+    seglists = segment_geodesics(x, tol)
+    if all(len(segs) == 1 for segs in seglists):
+        combo = tuple(segs[0] for segs in seglists)
+        return [(combo, _candidate(x, combo))]
+    k = x.k
+    head = [np.array([s.length * s.v1 for s in segs]) for segs in seglists]
+    tail = [np.array([s.length * s.v0 for s in segs]) for segs in seglists]
+    f = [((head[i - 1][:, None, :] - tail[i][None, :, :]) ** 2).sum(axis=2) for i in range(k)]
+    pick = np.max if maximize else np.min
+
+    # suffix[a0][i][a]: best score of f_{i+1} + ... + f_{k-1} + f_0 with segment
+    # i on minimizer a and segment 0 on a0
+    suffix, best = [], []
+    for a0 in range(len(seglists[0])):
+        rows = [None] * k
+        rows[k - 1] = f[0][:, a0]
+        for i in range(k - 2, 0, -1):
+            rows[i] = pick(f[i + 1] + rows[i + 1][None, :], axis=1)
+        best.append(float(pick(f[1][a0] + rows[1])))
+        suffix.append([None] + [r.tolist() for r in rows[1:]])
+    if maximize:
+        top = math.sqrt(max(best))
+        floor = max(top - magnitude_tol - _BAND_REL * max(1.0, top), 0.0) ** 2
+
+        def reachable(score):
+            return score >= floor
+    else:
+        ceiling = (tol + _BAND_REL) ** 2
+
+        def reachable(score):
+            return score <= ceiling
+
+    table = [fi.tolist() for fi in f]
+    sizes = [len(segs) for segs in seglists]
+    found: list[tuple] = []
+    for a0 in range(sizes[0]):
+        if not reachable(best[a0]):
             continue
-        out.append(
-            CandidateGradient(
-                vecs=tuple(comps),
-                choice=tuple(s.lift for s in combo),
-                magnitude=float(np.linalg.norm(stacked)),
-            )
-        )
-    return out
+        rows = suffix[a0]
+        choice = [a0] + [-1] * (k - 1)
+        partial = [0.0] * k
+        i = 1
+        while i >= 1:
+            choice[i] += 1
+            a = choice[i]
+            if a == sizes[i]:
+                choice[i] = -1
+                i -= 1
+                continue
+            score = partial[i - 1] + table[i][choice[i - 1]][a]
+            if not reachable(score + rows[i][a]):
+                continue
+            if i < k - 1:
+                partial[i] = score
+                i += 1
+                continue
+            found.append(tuple(seglists[j][c] for j, c in enumerate(choice)))
+            if len(found) > MAX_CANDIDATE_TUPLES:
+                raise ResourceLimitError(
+                    f"extreme candidate band exceeds the cap of {MAX_CANDIDATE_TUPLES} tuples"
+                )
+    return _distinct(x, found)
 
 
 def gradient_like(x: Configuration, tol: float = DEFAULT_TOL) -> CandidateGradient:
     """A candidate gradient of maximal magnitude.
 
     Ties are broken by lexicographic order on the stacked components, so the
-    result is deterministic.
+    result is deterministic.  Costs O(k m^3) for m minimizers per segment,
+    plus the near-maximal tuples themselves.
     """
-    cands = candidate_gradients(x, tol)
+    cands = [c for _, c in _extreme_candidates(x, tol, True)]
     return min(cands, key=lambda c: (-c.magnitude, tuple(c.stacked())))
 
 
@@ -229,7 +329,7 @@ def gradient_like_all(
     x: Configuration, tol: float = DEFAULT_TOL, magnitude_tol: float = 1e-12
 ) -> list[CandidateGradient]:
     """All candidates whose magnitude ties the maximum (within magnitude_tol)."""
-    cands = candidate_gradients(x, tol)
+    cands = [c for _, c in _extreme_candidates(x, tol, True, magnitude_tol)]
     top = max(c.magnitude for c in cands)
     ties = [c for c in cands if c.magnitude >= top - magnitude_tol]
     return sorted(ties, key=lambda c: tuple(c.stacked()))
@@ -238,7 +338,7 @@ def gradient_like_all(
 def has_associated_geodesic(x: Configuration, tol: float = DEFAULT_TOL) -> bool:
     """True when the zero vector is a candidate gradient (within tol), i.e.
     some choice of minimizers chains into a single closed geodesic."""
-    return any(c.magnitude <= tol for c in candidate_gradients(x, tol))
+    return any(c.magnitude <= tol for _, c in _extreme_candidates(x, tol, False))
 
 
 def associated_geodesic(x: Configuration, tol: float = DEFAULT_TOL):
@@ -249,15 +349,11 @@ def associated_geodesic(x: Configuration, tol: float = DEFAULT_TOL):
     """
     from .geodesics import geodesic_from_chain  # local import to avoid a cycle
 
-    for c in sorted(candidate_gradients(x, tol), key=lambda c: c.magnitude):
+    for chain, c in sorted(_extreme_candidates(x, tol, False), key=lambda p: p[1].magnitude):
         if c.magnitude > tol:
             return None
-        seglists = segment_geodesics(x, tol)
-        chain = []
-        for segs, lift in zip(seglists, c.choice):
-            chain.append(next(s for s in segs if s.lift == lift))
         try:
-            return geodesic_from_chain(x, chain, tol=max(tol * 10.0, 1e-7))
+            return geodesic_from_chain(x, list(chain), tol=max(tol * 10.0, 1e-7))
         except Exception:
             continue
     return None

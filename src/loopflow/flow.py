@@ -18,6 +18,7 @@ from .energy import (
     CandidateGradient,
     ConfigTangent,
     Configuration,
+    exp_config,
     gradient_like,
     segment_geodesics,
     uniform_energy,
@@ -138,7 +139,7 @@ def descend(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
         direction = ConfigTangent(tuple(-v for v in g.vecs))
         accepted = False
         while step >= MIN_STEP:
-            trial = _apply(x, direction, step)
+            trial = exp_config(x, direction, step)
             trial_energy = uniform_energy(trial)
             if trial_energy < energy:
                 accepted = True
@@ -165,13 +166,6 @@ def descend(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
         record_every=params.record_every,
         error=err,
     )
-
-
-def _apply(x: Configuration, v: ConfigTangent, s: float) -> Configuration:
-    pts = tuple(
-        x.space.exp_map(Tangent(p, vec), s) for p, vec in zip(x.points, v.vecs)
-    )
-    return Configuration(x.space, pts)
 
 
 def _chord_midpoints(x: Configuration, tol: float) -> list:
@@ -314,7 +308,7 @@ def restart_step(
         )
     eps = params.perturb_eps if params.perturb_eps is not None else 0.05 * g.space.min_scale()
     unit = ConfigTangent(tuple(-v / grad.magnitude for v in grad.vecs))
-    x1 = _apply(x, unit, eps)
+    x1 = exp_config(x, unit, eps)
     trace = descend(x1, params)
     if trace.status != "converged":
         return RestartReport(

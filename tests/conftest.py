@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own enumeration and
 closed-form paths: distances come from explicit lattice scans, candidate
 components from raw segment data, and Hessian spectra from the explicit
-circulant quadratic form in the universal cover.
+circulant quadratic form in the universal cover.  The gradient-like oracles
+select from the exhaustive ``candidate_gradients`` listing, which the
+library's transfer-matrix path never calls.
 """
 
 import itertools
@@ -11,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+
+import loopflow as lf
 
 
 def brute_torus_distance(periods, p, q, radius=3):
@@ -87,6 +91,30 @@ def straight_chain_deviation(seglists):
             worst = max(worst, float(defect))
         best = min(best, worst)
     return best
+
+
+def brute_extremes(x, tol=1e-9, magnitude_tol=1e-12):
+    """``gradient_like``, ``gradient_like_all``, ``has_associated_geodesic``
+    and ``associated_geodesic`` selected from one exhaustive listing."""
+    from loopflow.geodesics import geodesic_from_chain
+
+    cands = lf.candidate_gradients(x, tol)
+    best = min(cands, key=lambda c: (-c.magnitude, tuple(c.stacked())))
+    ties = [c for c in cands if c.magnitude >= best.magnitude - magnitude_tol]
+    ties.sort(key=lambda c: tuple(c.stacked()))
+    has_zero = any(c.magnitude <= tol for c in cands)
+    seglists = lf.segment_geodesics(x, tol)
+    geod = None
+    for c in sorted(cands, key=lambda c: c.magnitude):
+        if c.magnitude > tol:
+            break
+        chain = [next(s for s in segs if s.lift == lift) for segs, lift in zip(seglists, c.choice)]
+        try:
+            geod = geodesic_from_chain(x, chain, tol=max(tol * 10.0, 1e-7))
+            break
+        except Exception:
+            continue
+    return best, ties, has_zero, geod
 
 
 @pytest.fixture

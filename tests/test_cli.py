@@ -137,6 +137,24 @@ class TestRunScenario:
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def _bad_param_exits_2(self, tmp_path, capsys, key, value):
+        bad = dict(MININD_12, params={key: value})
+        code = run_scenario(write(tmp_path, "bad.json", bad), str(tmp_path / "r.json"))
+        assert code == 2
+        assert f"params.{key}" in capsys.readouterr().err
+
+    def test_negative_samples_exits_2(self, tmp_path, capsys):
+        # an empty sample set used to pass every check: minind 2 next to closed form 4
+        self._bad_param_exits_2(tmp_path, capsys, "samples", -5)
+
+    def test_negative_tol_exits_2(self, tmp_path, capsys):
+        # used to exit 3 with "no k <= 7 minimizes"
+        self._bad_param_exits_2(tmp_path, capsys, "tol", -1)
+
+    def test_string_tol_exits_2(self, tmp_path, capsys):
+        # used to end in a ValueError traceback
+        self._bad_param_exits_2(tmp_path, capsys, "tol", "abc")
+
     def test_determinism_modulo_wall_time(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         path = write(tmp_path, "s.json", FLOW_NOISY)

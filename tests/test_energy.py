@@ -1,18 +1,22 @@
 """Loop energy, one-sided derivatives, candidate gradients, Hessian."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loopflow as lf
-from conftest import circulant_hessian_eigenvalues, straight_chain_deviation
+from conftest import brute_extremes, circulant_hessian_eigenvalues, straight_chain_deviation
+from loopflow.geodesics import geodesic_to_dict
 
 T11 = lf.FlatTorus([1.0, 1.0])
 # binary-fraction periods keep the half-period ties exact in floats
 TREC = lf.FlatTorus([1.0, 0.75])
+T3 = lf.FlatTorus([1.0, 0.8125, 1.375])
+PT = lf.Product([lf.FlatTorus([1.0, 0.75]), lf.FlatTorus([1.25])])
 D21 = lf.DoubledRectangle(2.0, 1.0)
 
 
@@ -270,6 +274,106 @@ class TestGradientLike:
             cands = lf.candidate_gradients(x)
             g = lf.gradient_like(x)
             assert all(g.magnitude >= c.magnitude for c in cands)
+
+
+# the exhaustive oracle deduplicates in time quadratic in the tuple count
+BRUTE_TUPLES = 1024
+
+
+def _cut_tuple_count(klass):
+    top = max(abs(e) for e in klass)
+    return (2 ** sum(abs(e) == top for e in klass)) ** (2 * top)
+
+
+# evenly spaced k = 2 max|entry| samples: every coordinate holding the largest
+# entry is a half-period tie on every segment
+CUT_CASES = [
+    (space, klass)
+    for space in (TREC, T3, PT)
+    for klass in itertools.product(range(-4, 5), repeat=space.dim)
+    if any(klass) and _cut_tuple_count(klass) <= BRUTE_TUPLES
+]
+
+
+@st.composite
+def cut_configurations(draw):
+    space, klass = draw(st.sampled_from(CUT_CASES))
+    base = [draw(st.floats(0.0, 1.0)) * p for p in lf.effective_periods(space)]
+    return evenly_spaced(space, list(klass), 2 * max(abs(e) for e in klass), base)
+
+
+@st.composite
+def grid_configurations(draw):
+    """Points on an eighth-period grid, so that half-period ties are common,
+    mixed with off-grid points."""
+    space = draw(st.sampled_from([TREC, T3, PT, D21]))
+    k = draw(st.integers(2, 5))
+    fraction = st.one_of(st.integers(0, 7).map(lambda j: j / 8), st.floats(0.0, 1.0))
+    pts = []
+    for _ in range(k):
+        if space is D21:
+            coords = [2.0 * draw(fraction), draw(fraction)]
+            pts.append(D21.point(coords, draw(st.sampled_from(["top", "bottom"]))))
+        else:
+            pts.append(space.point([draw(fraction) * p for p in lf.effective_periods(space)]))
+    return lf.Configuration(space, tuple(pts))
+
+
+def assert_same_candidate(a, b):
+    assert a.choice == b.choice
+    assert a.magnitude == b.magnitude
+    assert [v.tobytes() for v in a.vecs] == [v.tobytes() for v in b.vecs]
+
+
+class TestTransferMatrixAgainstBrute:
+    """``gradient_like`` and friends select from the extreme band of the
+    max-plus / min-plus pass; they must equal the exhaustive listing."""
+
+    def check(self, x, tol, magnitude_tol):
+        best, ties, has_zero, slow_geod = brute_extremes(x, tol, magnitude_tol)
+        assert_same_candidate(lf.gradient_like(x, tol), best)
+        fast = lf.gradient_like_all(x, tol, magnitude_tol)
+        assert len(fast) == len(ties)
+        for a, b in zip(fast, ties):
+            assert_same_candidate(a, b)
+        assert lf.has_associated_geodesic(x, tol) == has_zero
+        fast_geod = lf.associated_geodesic(x, tol)
+        assert (fast_geod is None) == (slow_geod is None)
+        if fast_geod is not None:
+            assert geodesic_to_dict(fast_geod) == geodesic_to_dict(slow_geod)
+
+    @given(
+        x=st.one_of(cut_configurations(), grid_configurations()),
+        tol=st.sampled_from([1e-9, 1e-6]),
+        magnitude_tol=st.sampled_from([1e-12, 0.1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exhaustive_listing(self, x, tol, magnitude_tol):
+        try:
+            count = math.prod(len(segs) for segs in lf.segment_geodesics(x, tol))
+        except lf.GeometryError as exc:
+            with pytest.raises(type(exc)):
+                lf.gradient_like(x, tol)
+            return
+        assume(count <= BRUTE_TUPLES)
+        self.check(x, tol, magnitude_tol)
+
+    def test_square_example(self):
+        self.check(example_square_config(), 1e-9, 1e-12)
+
+    def test_class_one_ten_without_listing(self):
+        # k = 20 with two minimizers per segment: 2^20 tuples, above the cap
+        x = evenly_spaced(TREC, [1, 10], 20, [0.125, 0.0625])
+        with pytest.raises(lf.ResourceLimitError):
+            lf.candidate_gradients(x)
+        g = lf.gradient_like(x)
+        assert g.magnitude == pytest.approx(3 * math.sqrt(5) / 2, abs=1e-12)
+        vertical = np.array([v[1] for v in g.vecs])
+        assert np.allclose(np.abs(vertical), 0.75, atol=1e-12)
+        assert np.allclose(vertical[1:], -vertical[:-1], atol=1e-12)
+        both = lf.gradient_like_all(x)
+        assert len(both) == 2
+        assert any(g.choice == c.choice for c in both)
 
 
 class TestAssociatedGeodesic:
