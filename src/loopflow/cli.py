@@ -13,7 +13,6 @@ import concurrent.futures
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 
@@ -35,7 +34,16 @@ from .energy import (
     uniform_energy,
 )
 from .errors import GeometryError, ValidationError
-from .flow import FlowParams, FlowTrace, birkhoff_shorten, descend, restart_step, restart_until_stable
+from .flow import (
+    FLOW_PARAM_RULES,
+    FlowParams,
+    FlowTrace,
+    birkhoff_shorten,
+    check_flow_param,
+    descend,
+    restart_step,
+    restart_until_stable,
+)
 from .geodesics import (
     TWO_PI,
     VariationSpec,
@@ -99,13 +107,8 @@ def _resolve_params(scenario: dict, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is not None:
             params[key] = val
-    tol = params["tol"]
-    try:
-        tol_ok = isinstance(tol, (int, float)) and not isinstance(tol, bool) and math.isfinite(tol)
-    except OverflowError:  # an int beyond the float range
-        tol_ok = False
-    if not (tol_ok and tol > 0):
-        raise ValidationError(f"params.tol: expected a finite number > 0, got {tol!r}")
+    for key in FLOW_PARAM_RULES:
+        check_flow_param(key, params[key], "params.")
     samples = params["samples"]
     if samples is not None and (not isinstance(samples, int) or isinstance(samples, bool) or samples < 1):
         raise ValidationError(f"params.samples: expected null or an integer >= 1, got {samples!r}")
@@ -113,16 +116,12 @@ def _resolve_params(scenario: dict, overrides: dict) -> dict:
 
 
 def _flow_params(params: dict) -> FlowParams:
-    return FlowParams(
-        step=float(params["step"]),
-        max_iters=int(params["max_iters"]),
-        grad_tol=float(params["grad_tol"]),
-        energy_tol=float(params["energy_tol"]),
-        perturb_eps=None if params["perturb_eps"] is None else float(params["perturb_eps"]),
-        backtrack=float(params["backtrack"]),
-        record_every=int(params["record_every"]),
-        tol=float(params["tol"]),
-    )
+    # validated already; reals become floats, so a report echoes 1 as 1.0
+    counts = ("max_iters", "record_every")
+    return FlowParams(**{
+        k: params[k] if k in counts or params[k] is None else float(params[k])
+        for k in FLOW_PARAM_RULES
+    })
 
 
 def _trace_to_dict(trace: FlowTrace) -> dict:

@@ -105,7 +105,22 @@ def segment_distances(x: Configuration) -> list[float]:
 
 def uniform_energy(x: Configuration) -> float:
     """k times the sum of squared consecutive distances (cyclic)."""
-    return x.k * sum(d * d for d in segment_distances(x))
+    return energy_of_lengths(segment_distances(x))
+
+
+def energy_of_lengths(lengths: list[float]) -> float:
+    """k times the sum of the squared segment lengths, added in order."""
+    return len(lengths) * sum(d * d for d in lengths)
+
+
+def smooth_gradient(v0: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, float]:
+    """The one candidate gradient of a torus configuration whose segments
+    each have a single minimizer, from the (k, n) initial velocities and the
+    (k,) lengths of ``segment_batch``: components (k, n) and magnitude, bit
+    for bit as ``gradient_like`` gives them (on tori ``v1 == v0``)."""
+    scaled = lengths[:, None] * v0
+    comps = np.roll(scaled, 1, axis=0) - scaled
+    return comps, float(np.linalg.norm(comps.ravel()))
 
 
 def loop_energy(x: Configuration) -> LoopEnergy:
@@ -116,7 +131,7 @@ def loop_energy(x: Configuration) -> LoopEnergy:
     lengths agree.
     """
     ds = segment_distances(x)
-    return LoopEnergy(energy=x.k * sum(d * d for d in ds), length=sum(ds))
+    return LoopEnergy(energy=energy_of_lengths(ds), length=sum(ds))
 
 
 def exp_config(x: Configuration, v: ConfigTangent, s: float) -> Configuration:

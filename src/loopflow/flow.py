@@ -10,7 +10,10 @@ the restarted flow never worsens the minimizing index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -18,9 +21,11 @@ from .energy import (
     CandidateGradient,
     ConfigTangent,
     Configuration,
+    energy_of_lengths,
     exp_config,
     gradient_like,
     segment_geodesics,
+    smooth_gradient,
     uniform_energy,
 )
 from .errors import GeometryError, NonGeodesicLimitError, ValidationError
@@ -32,11 +37,42 @@ from .geodesics import (
     minimizing_index,
     point_at,
 )
-from .spaces import DEFAULT_TOL, Tangent, effective_periods
+from .spaces import DEFAULT_TOL, Point, Tangent, effective_periods, wrap
 
 MIN_STEP = 1e-14
 COLLIDE_TOL = 1e-12
 NUDGE = 1e-9
+
+
+def _real(v) -> bool:
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_POSITIVE = (lambda v: _real(v) and v > 0, "a finite number > 0")
+_COUNT = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+          "an integer >= 1")
+# what every flow parameter must be; shared by FlowParams and the CLI
+FLOW_PARAM_RULES = {
+    "step": _POSITIVE,
+    "max_iters": _COUNT,
+    "grad_tol": _POSITIVE,
+    "energy_tol": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    "perturb_eps": (lambda v: v is None or _real(v) and v > 0, "null or a finite number > 0"),
+    "backtrack": (lambda v: _real(v) and 0 < v < 1, "a finite number in (0, 1)"),
+    "record_every": _COUNT,
+    "tol": _POSITIVE,
+}
+
+
+def check_flow_param(name: str, value, where: str = "") -> None:
+    """Raise ``ValidationError`` naming ``where + name`` unless ``value`` is
+    a valid flow parameter ``name``."""
+    ok, need = FLOW_PARAM_RULES[name]
+    if not ok(value):
+        raise ValidationError(f"{where}{name}: expected {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +89,8 @@ class FlowParams:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.step <= 0 or self.max_iters <= 0 or self.grad_tol <= 0:
-            raise ValidationError("step, max_iters, grad_tol must be positive")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValidationError("backtrack must lie in (0, 1)")
-        if self.energy_tol < 0 or self.record_every < 1 or self.tol <= 0:
-            raise ValidationError("energy_tol, record_every, tol out of range")
-        if self.perturb_eps is not None and self.perturb_eps <= 0:
-            raise ValidationError("perturb_eps must be positive")
+        for f in fields(self):
+            check_flow_param(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,73 +131,6 @@ def _nudge_collisions(x: Configuration, iteration: int, log: list) -> Configurat
     return Configuration(x.space, tuple(pts)) if changed else x
 
 
-class _Recorder:
-    def __init__(self, record_every: int):
-        self.record_every = record_every
-        self.iterates: list[Configuration] = []
-        self.energies: list[float] = []
-        self.grad_norms: list[float] = []
-
-    def add(self, n: int, x: Configuration, energy: float, grad: float, force: bool = False):
-        if force or n % self.record_every == 0:
-            self.iterates.append(x)
-            self.energies.append(energy)
-            self.grad_norms.append(grad)
-
-
-def descend(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
-    """Gradient-like descent with strict-decrease backtracking.
-
-    Stops when the gradient-like magnitude falls below ``grad_tol``, when an
-    accepted step decreases the energy by at most ``energy_tol``, or at
-    ``max_iters``.  The step underflowing without any decrease is an error.
-    """
-    nudges: list = []
-    x = _nudge_collisions(x0, 0, nudges)
-    rec = _Recorder(params.record_every)
-    energy = uniform_energy(x)
-    step = params.step
-    status, err = "max_iters", None
-    n = 0
-    while n < params.max_iters:
-        x = _nudge_collisions(x, n, nudges)
-        g = gradient_like(x, params.tol)
-        rec.add(n, x, energy, g.magnitude)
-        if g.magnitude <= params.grad_tol:
-            status = "converged"
-            break
-        direction = ConfigTangent(tuple(-v for v in g.vecs))
-        accepted = False
-        while step >= MIN_STEP:
-            trial = exp_config(x, direction, step)
-            trial_energy = uniform_energy(trial)
-            if trial_energy < energy:
-                accepted = True
-                break
-            step *= params.backtrack
-        if not accepted:
-            status, err = "error", "step underflow without energy decrease"
-            break
-        decrease = energy - trial_energy
-        x, energy = trial, trial_energy
-        n += 1
-        if decrease <= params.energy_tol:
-            status = "converged"
-            break
-    if not rec.iterates or rec.iterates[-1] is not x:
-        rec.add(n, x, energy, gradient_like(x, params.tol).magnitude, force=True)
-    return FlowTrace(
-        status=status,
-        iterates=tuple(rec.iterates),
-        energies=tuple(rec.energies),
-        grad_norms=tuple(rec.grad_norms),
-        iterations=n,
-        nudges=tuple(nudges),
-        record_every=params.record_every,
-        error=err,
-    )
-
-
 def _chord_midpoints(x: Configuration, tol: float) -> list:
     """Midpoint of the minimizing geodesic of every consecutive pair
     (smallest lift descriptor on ties; coincident pairs keep their point)."""
@@ -184,6 +147,144 @@ def _chord_midpoints(x: Configuration, tol: float) -> list:
     return mids
 
 
+class _Iterate:
+    """One flow iterate.
+
+    On torus backends it is a (k, n) coordinate array with the
+    ``segment_batch`` kernel of its consecutive pairs, and its points are
+    built only when ``config`` is read.  On other backends (the doubled
+    rectangle, with its cone points and face charts) ``coords`` is None and
+    every operation takes the scalar path.  Each operation gives the scalar
+    path's bits; one that meets a tie or a collision takes the scalar path.
+    """
+
+    def __init__(self, space, periods, tol, coords=None, config=None):
+        self.space, self.periods, self.tol = space, periods, tol
+        self.coords, self._config = coords, config
+        if coords is not None:
+            self.v0, self.lengths, self.unique = space.segment_batch(
+                coords, np.roll(coords, -1, axis=0), tol
+            )
+
+    @classmethod
+    def of(cls, x: Configuration, tol: float) -> "_Iterate":
+        periods = effective_periods(x.space)
+        coords = None if periods is None else np.array([p.coords for p in x.points])
+        return cls(x.space, periods, tol, coords, x)
+
+    def _with(self, coords) -> "_Iterate":
+        return _Iterate(self.space, self.periods, self.tol, coords)
+
+    @property
+    def config(self) -> Configuration:
+        if self._config is None:
+            self._config = Configuration(self.space, tuple(map(Point, self.coords)))
+        return self._config
+
+    @cached_property
+    def energy(self) -> float:
+        if self.coords is None:
+            return uniform_energy(self.config)
+        return energy_of_lengths(self.lengths.tolist())
+
+    def nudged(self, n: int, log: list) -> "_Iterate":
+        """The iterate after ``_nudge_collisions``."""
+        if self.coords is not None and (self.lengths > COLLIDE_TOL).all():
+            return self
+        x = _nudge_collisions(self.config, n, log)
+        return self if x is self.config else _Iterate.of(x, self.tol)
+
+    def gradient(self) -> tuple[np.ndarray, float]:
+        """Components (k, n) and magnitude of the gradient-like vector."""
+        if self.coords is not None and self.unique.all() and self.lengths.all():
+            return smooth_gradient(self.v0, self.lengths)
+        g = gradient_like(self.config, self.tol)
+        return np.array(g.vecs), g.magnitude
+
+    def moved(self, direction: np.ndarray, s: float) -> "_Iterate":
+        """Every point moved along its row of ``direction`` for time s."""
+        if self.coords is None:
+            x = exp_config(self.config, ConfigTangent(tuple(direction)), s)
+            return _Iterate.of(x, self.tol)
+        return self._with(wrap(self.coords + s * direction, self.periods))
+
+    def midpoints(self, rotate: bool = False) -> "_Iterate":
+        """``_chord_midpoints``; with ``rotate`` the last midpoint comes first."""
+        if self.coords is None or not self.unique.all():
+            mids = _chord_midpoints(self.config, self.tol)
+            mids = mids[-1:] + mids[:-1] if rotate else mids
+            return _Iterate.of(Configuration(self.space, tuple(mids)), self.tol)
+        mids = wrap(self.coords + (self.lengths / 2.0)[:, None] * self.v0, self.periods)
+        mids = np.where((self.lengths <= COLLIDE_TOL)[:, None], self.coords, mids)
+        return self._with(np.roll(mids, 1, axis=0) if rotate else mids)
+
+
+def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
+    """The loop shared by the flows.  Each iteration nudges collisions,
+    records, stops once the gradient-like magnitude is at most ``grad_tol``,
+    and otherwise asks ``advance(iterate, gradient, energy, n, nudges)`` for
+    ``(trial, error)``.  It stops on an error, at ``max_iters``, or after a
+    step that decreased the energy by at most ``energy_tol``."""
+    nudges: list = []
+    it = _Iterate.of(_nudge_collisions(x0, 0, nudges), params.tol)
+    energy = it.energy
+    rec: list = []
+    status, err = "max_iters", None
+    n = 0
+    while n < params.max_iters:
+        it = it.nudged(n, nudges)
+        grad, magnitude = it.gradient()
+        if n % params.record_every == 0:
+            rec.append((it, energy, magnitude))
+        if magnitude <= params.grad_tol:
+            status = "converged"
+            break
+        trial, err = advance(it, grad, energy, n, nudges)
+        if err is not None:
+            status = "error"
+            break
+        decrease = energy - trial.energy
+        it, energy = trial, trial.energy
+        n += 1
+        if decrease <= params.energy_tol:
+            status = "converged"
+            break
+    if not rec or rec[-1][0] is not it:
+        rec.append((it, energy, it.gradient()[1]))
+    return FlowTrace(
+        status=status,
+        iterates=tuple(r[0].config for r in rec),
+        energies=tuple(r[1] for r in rec),
+        grad_norms=tuple(r[2] for r in rec),
+        iterations=n,
+        nudges=tuple(nudges),
+        record_every=params.record_every,
+        error=err,
+    )
+
+
+def descend(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
+    """Gradient-like descent with strict-decrease backtracking.
+
+    Stops when the gradient-like magnitude falls below ``grad_tol``, when an
+    accepted step decreases the energy by at most ``energy_tol``, or at
+    ``max_iters``.  The step underflowing without any decrease is an error.
+    """
+    step = params.step
+
+    def advance(it, grad, energy, n, nudges):
+        nonlocal step
+        direction = -grad
+        while step >= MIN_STEP:
+            trial = it.moved(direction, step)
+            if trial.energy < energy:
+                return trial, None
+            step *= params.backtrack
+        return None, "step underflow without energy decrease"
+
+    return _run_flow(x0, params, advance)
+
+
 def birkhoff_shorten(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
     """Classical alternating midpoint shortening; an independent flow oracle.
 
@@ -192,47 +293,15 @@ def birkhoff_shorten(x0: Configuration, params: FlowParams = FlowParams()) -> Fl
     are energy non-increasing: a new chord is at most the two half-chords it
     replaces, and squares average convexly.
     """
-    nudges: list = []
-    x = _nudge_collisions(x0, 0, nudges)
-    rec = _Recorder(params.record_every)
-    energy = uniform_energy(x)
-    status, err = "max_iters", None
-    n = 0
-    while n < params.max_iters:
-        x = _nudge_collisions(x, n, nudges)
-        g = gradient_like(x, params.tol)
-        rec.add(n, x, energy, g.magnitude)
-        if g.magnitude <= params.grad_tol:
-            status = "converged"
-            break
-        mids = _chord_midpoints(x, params.tol)
-        half = _nudge_collisions(Configuration(x.space, tuple(mids)), n, nudges)
-        second = _chord_midpoints(half, params.tol)
+
+    def advance(it, grad, energy, n, nudges):
         # rotate so x'_i sits between the chords around the original x_i
-        second = second[-1:] + second[:-1]
-        trial = Configuration(x.space, tuple(second))
-        trial_energy = uniform_energy(trial)
-        if trial_energy > energy + 1e-15:
-            status, err = "error", "midpoint sweep increased the energy"
-            break
-        decrease = energy - trial_energy
-        x, energy = trial, trial_energy
-        n += 1
-        if decrease <= params.energy_tol:
-            status = "converged"
-            break
-    if not rec.iterates or rec.iterates[-1] is not x:
-        rec.add(n, x, energy, gradient_like(x, params.tol).magnitude, force=True)
-    return FlowTrace(
-        status=status,
-        iterates=tuple(rec.iterates),
-        energies=tuple(rec.energies),
-        grad_norms=tuple(rec.grad_norms),
-        iterations=n,
-        nudges=tuple(nudges),
-        record_every=params.record_every,
-        error=err,
-    )
+        trial = it.midpoints().nudged(n, nudges).midpoints(rotate=True)
+        if trial.energy > energy + 1e-15:
+            return None, "midpoint sweep increased the energy"
+        return trial, None
+
+    return _run_flow(x0, params, advance)
 
 
 def classify_limit(x: Configuration, tol: float = 1e-4) -> ClosedGeodesic:
@@ -374,9 +443,3 @@ def restart_until_stable(
             unchanged_streak = 0
         current = report.after
     return reports
-
-
-def sweep_perturbation(params: FlowParams, space) -> list[FlowParams]:
-    """Parameter sets with perturbation sizes 1%, 5%, 10% of the shortest period."""
-    scale = space.min_scale()
-    return [replace(params, perturb_eps=f * scale) for f in (0.01, 0.05, 0.1)]

@@ -27,6 +27,7 @@ from .spaces import (
     point_from_dict,
     point_to_dict,
     space_from_dict,
+    wrap,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -112,10 +113,7 @@ def _points_batch(g: ClosedGeodesic, ts: np.ndarray):
     if g.kind == "torus_class":
         periods = effective_periods(g.space)
         disp = g.klass * periods
-        pts = g.base.coords[None, :] + frac[:, None] * disp[None, :]
-        pts = pts - periods * np.floor(pts / periods)
-        pts = np.where(pts >= periods, pts - periods, pts)
-        return pts, None
+        return wrap(g.base.coords[None, :] + frac[:, None] * disp[None, :], periods), None
     if g.space.supports_batch:
         return g.space.line_batch(g.base, g.direction, frac * g.length)
     pts = [point_at(g, t) for t in ts]

@@ -40,6 +40,9 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 CONE_TOL = 1e-9
+# absolute slack, per unit of period, added to the doubled tie tolerance when
+# ``segment_batch`` certifies a unique minimizer; far above float rounding
+TIE_SLACK = 1e-12
 # cap on the lattice box enumerated for one minimizing-geodesic query
 MAX_LATTICE_CANDIDATES = 200_000
 
@@ -176,6 +179,13 @@ def _lattice_ranges(delta: np.ndarray, periods: np.ndarray, reach: float) -> lis
     return ranges
 
 
+def wrap(coords: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Coordinates reduced into [0, period) per column."""
+    out = coords - periods * np.floor(coords / periods)
+    # floor can land exactly on the period for values like -1e-17
+    return np.where(out >= periods, out - periods, out)
+
+
 def _enumerate_lifts(delta: np.ndarray, periods: np.ndarray, reach: float):
     """Yield (lam, displacement, length) for every lattice lift within reach."""
     ranges = _lattice_ranges(delta, periods, reach)
@@ -207,13 +217,7 @@ class FlatTorus(Space):
         if face is not None:
             raise ValidationError("flat torus points carry no face tag")
         coords = _as_vector(coords, self.dim, "point")
-        return Point(self._reduce(coords))
-
-    def _reduce(self, coords: np.ndarray) -> np.ndarray:
-        out = coords - self.periods * np.floor(coords / self.periods)
-        # floor can land exactly on the period for values like -1e-17
-        out = np.where(out >= self.periods, out - self.periods, out)
-        return out
+        return Point(wrap(coords, self.periods))
 
     def distance(self, p: Point, q: Point) -> float:
         self._check_point(p)
@@ -254,25 +258,49 @@ class FlatTorus(Space):
 
     # batch kernels operate on (N, dim) coordinate arrays; faces unused here
 
-    def distance_batch(self, A, fa, B, fb) -> np.ndarray:
+    def _nearest(self, A, B) -> np.ndarray:
+        """Displacement of the nearest lift of B[j] from A[j], per row."""
         delta = B - A
-        delta = delta - self.periods * np.round(delta / self.periods)
-        return np.sqrt((delta**2).sum(axis=1))
+        return delta - self.periods * np.round(delta / self.periods)
+
+    def _flip_ties(self, delta, length, tol) -> np.ndarray:
+        """Per row and coordinate: does flipping that coordinate to the far
+        lift give a minimizer within ``tol`` of the nearest one?"""
+        # squared-length increase of flipping coordinate i to the far lift
+        inc = self.periods * (self.periods - 2.0 * np.abs(delta))
+        return inc <= 2.0 * length[:, None] * tol + tol * tol
+
+    def distance_batch(self, A, fa, B, fb) -> np.ndarray:
+        return np.sqrt((self._nearest(A, B) ** 2).sum(axis=1))
 
     def min_count_batch(self, A, fa, B, fb, tol: float) -> np.ndarray:
-        delta = B - A
-        delta = np.abs(delta - self.periods * np.round(delta / self.periods))
-        d = np.sqrt((delta**2).sum(axis=1, keepdims=True))
-        # squared-length increase of flipping coordinate i to the far lift
-        inc = self.periods * (self.periods - 2.0 * delta)
-        tie = inc <= 2.0 * d * tol + tol * tol
-        return np.where(tie, 2, 1).prod(axis=1)
+        delta = self._nearest(A, B)
+        d = np.sqrt((delta**2).sum(axis=1))
+        return np.where(self._flip_ties(delta, d, tol), 2, 1).prod(axis=1)
+
+    def segment_batch(self, A, B, tol: float):
+        """Array form of ``minimizing_geodesics`` for the pairs (A[j], B[j]).
+
+        Returns the initial unit velocity ``v0`` (N, dim) and the ``length``
+        (N,) of the nearest lift, bit for bit as the scalar minimizer gives
+        them, and ``unique`` (N,): the pair certainly has no other minimizer
+        within ``tol``.  The certificate is the flip test of
+        ``min_count_batch`` with a margin wider than ``tol``, so a pair near
+        the threshold is left uncertified rather than misjudged.  Lengths
+        use ``np.vecdot``, which adds like ``np.linalg.norm``; ``(D*D).sum``
+        rounds differently in some rows.  A pair at distance 0 (coincident,
+        or apart by less than the square root of the smallest float) gets a
+        non-finite velocity.
+        """
+        delta = self._nearest(A, B)
+        length = np.sqrt(np.vecdot(delta, delta))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            v0 = delta / length[:, None]
+        margin = 2.0 * tol + TIE_SLACK * self.periods
+        return v0, length, ~self._flip_ties(delta, length, margin).any(axis=1)
 
     def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
-        pts = base.coords[None, :] + lengths[:, None] * direction[None, :]
-        pts = pts - self.periods * np.floor(pts / self.periods)
-        pts = np.where(pts >= self.periods, pts - self.periods, pts)
-        return pts, None
+        return wrap(base.coords[None, :] + lengths[:, None] * direction[None, :], self.periods), None
 
     def to_dict(self) -> dict:
         return {"type": "flat_torus", "periods": [float(a) for a in self.periods]}
@@ -328,8 +356,7 @@ class DoubledRectangle(Space):
         The returned 2x2 matrix maps cover vectors at ``xy`` to chart vectors
         at the reduced point.
         """
-        u = xy - self.cover_periods * np.floor(xy / self.cover_periods)
-        u = np.where(u >= self.cover_periods, u - self.cover_periods, u)
+        u = wrap(xy, self.cover_periods)
         if u[0] > self.a:
             u = self.cover_periods - u
             u[1] = u[1] if u[1] < self.cover_periods[1] else 0.0
@@ -520,8 +547,7 @@ class DoubledRectangle(Space):
         start = self._embed(base)
         cover_dir = self._chart_matrix(base.face) @ direction
         pts = start[None, :] + lengths[:, None] * cover_dir[None, :]
-        u = pts - self.cover_periods * np.floor(pts / self.cover_periods)
-        u = np.where(u >= self.cover_periods, u - self.cover_periods, u)
+        u = wrap(pts, self.cover_periods)
         flip = u[:, 0] > self.a
         u[flip] = self.cover_periods - u[flip]
         u[:, 1] = np.where(u[:, 1] >= self.cover_periods[1], 0.0, u[:, 1])
@@ -566,13 +592,10 @@ class Product(Space):
             faces = list(face)
         else:
             raise ValidationError("product point face must be a per-factor tuple or None")
-        pts = [
+        return self._join([
             f.point(c) if fc is None else f.point(c, fc)
             for f, c, fc in zip(self.factors, self._split(coords), faces)
-        ]
-        out_faces = tuple(p.face for p in pts)
-        face_field = out_faces if any(f is not None for f in out_faces) else None
-        return Point(np.concatenate([p.coords for p in pts]), face_field)
+        ])
 
     def _join(self, pts: list[Point]) -> Point:
         faces = tuple(p.face for p in pts)
@@ -667,6 +690,18 @@ class Product(Space):
 
     def distance_batch(self, A, fa, B, fb) -> np.ndarray:
         return self._effective_torus().distance_batch(A, fa, B, fb)
+
+    def segment_batch(self, A, B, tol: float):
+        """``FlatTorus.segment_batch`` for a product of tori, composed from
+        the factors' kernels as ``minimizing_geodesics`` composes theirs."""
+        parts = [f.segment_batch(A[:, lo:hi], B[:, lo:hi], tol)
+                 for f, (lo, hi) in zip(self.factors, self._offsets)]
+        # float_power is libm pow, as the scalar ``length ** 2``; ** squares
+        length = np.sqrt(sum(np.float_power(d, 2) for _, d, _ in parts))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scaled = [np.where(d[:, None] > 0, d[:, None] * v, 0.0) for v, d, _ in parts]
+            v0 = np.concatenate(scaled, axis=1) / length[:, None]
+        return v0, length, np.logical_and.reduce([u for _, _, u in parts])
 
     def min_count_batch(self, A, fa, B, fb, tol: float) -> np.ndarray:
         return self._effective_torus().min_count_batch(A, fa, B, fb, tol)

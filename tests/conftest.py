@@ -13,8 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import loopflow as lf
+
+# CI draws the same examples on every run, so a failure reproduces locally
+# with ``--hypothesis-profile=ci``
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def brute_torus_distance(periods, p, q, radius=3):

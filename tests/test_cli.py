@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from loopflow.cli import emit_plot_data, main, run_scenario
 
 TREC_SPACE = {"type": "flat_torus", "periods": [1.0, 0.75]}
@@ -154,6 +156,24 @@ class TestRunScenario:
     def test_string_tol_exits_2(self, tmp_path, capsys):
         # used to end in a ValueError traceback
         self._bad_param_exits_2(tmp_path, capsys, "tol", "abc")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("step", "abc"),  # used to end in a ValueError traceback
+            ("grad_tol", float("inf")),  # used to report converged after 0 iterations
+            ("perturb_eps", float("inf")),
+            ("energy_tol", float("nan")),
+            ("backtrack", "0.5"),  # used to be parsed from the string
+            ("max_iters", 2.7),  # used to be truncated to 2
+            ("record_every", True),
+        ],
+    )
+    def test_bad_flow_param_exits_2(self, tmp_path, capsys, key, value):
+        bad = dict(FLOW_NOISY, params={key: value})
+        code = run_scenario(write(tmp_path, "bad.json", bad), str(tmp_path / "r.json"))
+        assert code == 2
+        assert f"params.{key}" in capsys.readouterr().err
 
     def test_determinism_modulo_wall_time(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

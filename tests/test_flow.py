@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopflow as lf
+import loopflow.flow
 
 TREC = lf.FlatTorus([1.0, 0.75])
 T3 = lf.FlatTorus([1.0, 0.8125, 1.375])
@@ -231,3 +234,130 @@ class TestParams:
             lf.FlowParams(backtrack=1.0)
         with pytest.raises(lf.ValidationError):
             lf.FlowParams(perturb_eps=-0.1)
+
+    @pytest.mark.parametrize("field", ["step", "grad_tol", "energy_tol", "perturb_eps", "backtrack", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # NaN used to pass every "<= 0" check
+        with pytest.raises(lf.ValidationError, match=field):
+            lf.FlowParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iters", "record_every"])
+    @pytest.mark.parametrize("value", [2.7, True, 0, math.nan])
+    def test_counts_are_integers(self, field, value):
+        with pytest.raises(lf.ValidationError, match=field):
+            lf.FlowParams(**{field: value})
+
+
+FLOW_SPACES = {
+    "T2": TREC,
+    "T3": T3,
+    "product": lf.Product([lf.FlatTorus([1.0, 0.75]), lf.FlatTorus([1.25])]),
+}
+UNIT_CLASSES = {
+    "T2": ([1, 0], [0, 1], [1, 1], [1, -1]),
+    "T3": ([1, 0, 0], [0, 1, 1], [1, 1, 0], [1, 0, -1]),
+    "product": ([1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]),
+}
+CUT_CLASSES = {
+    "T2": ([1, 2], [2, 1], [1, 3]),
+    "T3": ([1, 2, 0], [2, 1, 1], [1, 1, 2]),
+    "product": ([1, 2, 0], [1, 0, 2], [2, 1, 1]),
+}
+
+
+def cut_start(space, klass, base, noise, rng):
+    """The class's loop sampled at its minimizing index k = 2 max|class|,
+    where every consecutive pair is a cut pair, moved by ``noise``."""
+    k = 2 * max(abs(m) for m in klass)
+    _, x = straight_config(space, klass, k, base)
+    if noise == 0.0:
+        return x
+    pts = []
+    for p in x.points:
+        v = rng.standard_normal(space.dim)
+        pts.append(space.exp_map(lf.Tangent(p, v / np.linalg.norm(v)), noise))
+    return lf.Configuration(space, tuple(pts))
+
+
+def assert_trace_matches_scalar(trace):
+    """Every recorded energy and gradient norm equals the scalar definition
+    at its iterate, bit for bit."""
+    assert len(trace.iterates) == len(trace.energies) == len(trace.grad_norms)
+    for x, energy, grad in zip(trace.iterates, trace.energies, trace.grad_norms):
+        assert energy == lf.uniform_energy(x)
+        assert grad == lf.gradient_like(x).magnitude
+
+
+class TestArrayStep:
+    """On tori the flows step a coordinate array; on a tie or a collision an
+    iteration takes the scalar kernels.  Either way the trace is the scalar
+    path's."""
+
+    PARAMS = lf.FlowParams(max_iters=30)
+
+    @given(
+        name=st.sampled_from(sorted(FLOW_SPACES)),
+        turn=st.integers(0, 3),
+        k=st.integers(4, 16),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(0.001, 0.03),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_noisy_straight_loops(self, name, turn, k, seed, noise):
+        space = FLOW_SPACES[name]
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0, lf.effective_periods(space))
+        x0 = noisy_config(space, UNIT_CLASSES[name][turn], k, base, rng, noise)
+        assert_trace_matches_scalar(lf.descend(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.birkhoff_shorten(x0, self.PARAMS))
+
+    @given(
+        name=st.sampled_from(sorted(FLOW_SPACES)),
+        turn=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 1e-3]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_near_cut_starts(self, name, turn, seed, noise):
+        space = FLOW_SPACES[name]
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0, lf.effective_periods(space))
+        x0 = cut_start(space, CUT_CLASSES[name][turn], base, noise, rng)
+        assert_trace_matches_scalar(lf.descend(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.birkhoff_shorten(x0, self.PARAMS))
+
+    def spy(self, monkeypatch):
+        calls = []
+        original = lf.flow.gradient_like
+
+        def counting(x, tol=lf.spaces.DEFAULT_TOL):
+            calls.append(x)
+            return original(x, tol)
+
+        monkeypatch.setattr(lf.flow, "gradient_like", counting)
+        return calls
+
+    def test_near_cut_start_falls_back(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        x0 = cut_start(TREC, [1, 2], [0.125, 0.0625], 0.0, None)
+        trace = lf.descend(x0, self.PARAMS)
+        assert calls and calls[0] is x0
+        assert trace.energies[-1] < trace.energies[0]
+        assert_trace_matches_scalar(trace)
+
+    def test_noisy_loop_stays_on_arrays(self, monkeypatch, rng):
+        calls = self.spy(monkeypatch)
+        x0 = noisy_config(TREC, [1, 1], 8, [0.6, 0.1], rng, 0.02)
+        trace = lf.descend(x0)
+        assert trace.status == "converged" and trace.iterations > 10
+        assert calls == []
+
+    def test_doubled_rectangle_takes_scalar_path(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        D = lf.DoubledRectangle(2.0, 1.0)
+        x0 = lf.configuration(D, [[0.5, 0.1], [0.55, 0.9], [0.5, 0.5], [0.45, 0.2]],
+                              ["top", "top", "bottom", "bottom"])
+        trace = lf.descend(x0, self.PARAMS)
+        assert len(calls) == len(trace.iterates)
+        assert_trace_matches_scalar(trace)

@@ -263,6 +263,73 @@ class TestProduct:
         )
 
 
+KERNEL_SPACES = [
+    lf.FlatTorus([1.0, 0.75]),
+    lf.FlatTorus([1.0, 0.8125, 1.375]),
+    lf.Product([lf.FlatTorus([1.0, 0.75]), lf.FlatTorus([1.25])]),
+]
+
+
+class TestSegmentBatch:
+    """The array kernel of the torus flows against ``minimizing_geodesics``:
+    a certified pair has exactly one minimizer within tol, whose ``v0`` and
+    ``length`` the kernel reproduces bit for bit, and an uncertified pair has
+    a second minimizer within the margin (2 tol plus slack); the length is
+    the distance always."""
+
+    def check(self, space, A, B):
+        v0, length, unique = space.segment_batch(A, B, 1e-9)
+        for j in range(len(A)):
+            p, q = space.point(A[j]), space.point(B[j])
+            assert length[j] == space.distance(p, q)
+            if length[j] == 0.0:
+                continue
+            segs = space.minimizing_geodesics(p, q, 1e-9)
+            if unique[j]:
+                assert len(segs) == 1
+            else:
+                assert len(space.minimizing_geodesics(p, q, 3e-9)) >= 2
+            if len(segs) == 1:
+                assert length[j] == segs[0].length
+                assert np.array_equal(v0[j], segs[0].v0)
+        return unique
+
+    @given(
+        which=st.integers(0, len(KERNEL_SPACES) - 1),
+        fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=6, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_pairs(self, which, fracs):
+        space = KERNEL_SPACES[which]
+        periods = lf.effective_periods(space)
+        n = space.dim
+        A = np.array([space.point(np.array(fracs[:n]) * periods).coords])
+        B = np.array([space.point(np.array(fracs[3 : 3 + n]) * periods).coords])
+        self.check(space, A, B)
+
+    @pytest.mark.parametrize("space", KERNEL_SPACES, ids=["T2", "T3", "product"])
+    def test_near_tie_pairs(self, space, rng):
+        periods = lf.effective_periods(space)
+        offsets = [0.0, 1e-13, 1e-11, 4e-10, 1e-9, 3e-9, 1e-7, 1e-3]
+        rows_a, rows_b, far = [], [], []
+        for i in range(space.dim):
+            for off in offsets + [-o for o in offsets[1:]]:
+                a = rng.uniform(0, periods)
+                shift = rng.uniform(-0.2, 0.2, space.dim) * periods
+                shift[i] = periods[i] / 2.0 + off
+                rows_a.append(space.point(a).coords)
+                rows_b.append(space.point(a + shift).coords)
+                far.append(abs(off) >= 1e-7)
+        # a product pair whose second factor coincides
+        a = rng.uniform(0, periods)
+        rows_a.append(space.point(a).coords)
+        rows_b.append(space.point(a + np.r_[0.3, 0.2, 0.0][: space.dim]).coords)
+        far.append(True)
+        unique = self.check(space, np.array(rows_a), np.array(rows_b))
+        # the margin is narrow: gaps far above tol are certified
+        assert unique[np.array(far)].all()
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "space",
