@@ -36,10 +36,13 @@ from .energy import (
 from .errors import GeometryError, ValidationError
 from .flow import (
     FLOW_PARAM_RULES,
+    NONNEGATIVE,
+    POSITIVE,
     FlowParams,
     FlowTrace,
     birkhoff_shorten,
-    check_flow_param,
+    check_rule,
+    count_rule,
     descend,
     restart_step,
     restart_until_stable,
@@ -47,12 +50,12 @@ from .flow import (
 from .geodesics import (
     TWO_PI,
     VariationSpec,
+    _points_batch,
     geodesic_from_dict,
     geodesic_to_dict,
     is_k_geodesic,
     is_openly_k_geodesic,
     minimizing_index,
-    point_at,
     torus_class_minind,
     variation_minind_profile,
 )
@@ -75,7 +78,8 @@ COMMANDS = (
     "sweep",
 )
 
-# single source of truth for every numeric default the CLI reports
+# single source of truth for every numeric default the CLI reports; ``samples``
+# is inert (loop predicates are exact) but schema v1 still accepts and echoes it
 DEFAULTS = {
     "tol": 1e-9,
     "samples": None,
@@ -95,6 +99,14 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _checked(data: dict, key: str, where: str, rule, default=None):
+    """``data[key]``, required unless a ``default`` is given, checked by
+    ``rule`` (a flow-parameter rule) under the field name ``where.key``."""
+    value = _require(data, key, where) if default is None else data.get(key, default)
+    check_rule(rule, value, f"{where}.{key}")
+    return value
+
+
 def _resolve_params(scenario: dict, overrides: dict) -> dict:
     params = dict(DEFAULTS)
     file_params = scenario.get("params", {})
@@ -107,11 +119,10 @@ def _resolve_params(scenario: dict, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is not None:
             params[key] = val
-    for key in FLOW_PARAM_RULES:
-        check_flow_param(key, params[key], "params.")
-    samples = params["samples"]
-    if samples is not None and (not isinstance(samples, int) or isinstance(samples, bool) or samples < 1):
-        raise ValidationError(f"params.samples: expected null or an integer >= 1, got {samples!r}")
+    for key, rule in FLOW_PARAM_RULES.items():
+        check_rule(rule, params[key], f"params.{key}")
+    samples = (lambda v: v is None or count_rule(1)[0](v), "null or an integer >= 1")
+    check_rule(samples, params["samples"], "params.samples")
     return params
 
 
@@ -147,12 +158,10 @@ def _config_from_inputs(space, inputs: dict, where: str) -> Configuration:
 
 
 def _curve_samples(geod, count: int = 256) -> list[dict]:
-    rows = []
-    for j in range(count + 1):
-        t = TWO_PI * (j % count) / count
-        p = point_at(geod, t)
-        rows.append({"t": TWO_PI * j / count, "coords": [float(c) for c in p.coords]})
-    return rows
+    j = np.arange(count + 1)
+    coords, _ = _points_batch(geod, TWO_PI * (j % count) / count)
+    return [{"t": TWO_PI * i / count, "coords": [float(c) for c in row]}
+            for i, row in enumerate(coords)]
 
 
 # -- command handlers -------------------------------------------------------------
@@ -214,9 +223,8 @@ def _run_gradlike(space, inputs, params, seed):
 
 def _run_minind(space, inputs, params, seed):
     geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space)
-    samples = params["samples"]
     out = {
-        "minind": minimizing_index(geod, samples, float(params["tol"])),
+        "minind": minimizing_index(geod, float(params["tol"])),
         "length": geod.length,
         "curve": _curve_samples(geod),
     }
@@ -227,14 +235,13 @@ def _run_minind(space, inputs, params, seed):
 
 def _run_openly(space, inputs, params, seed):
     geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space)
-    k = int(_require(inputs, "k", "inputs"))
-    samples = params["samples"]
+    k = _checked(inputs, "k", "inputs", count_rule(2))
     tol = float(params["tol"])
-    is_k = is_k_geodesic(geod, k, samples, tol)
+    is_k = is_k_geodesic(geod, k, tol)
     return {
         "k": k,
         "is_k_geodesic": is_k,
-        "openly": is_openly_k_geodesic(geod, k, samples, tol) if is_k else False,
+        "openly": is_openly_k_geodesic(geod, k, tol) if is_k else False,
     }
 
 
@@ -244,13 +251,14 @@ def _run_probe(space, inputs, params, seed):
     var = VariationSpec(
         geodesic=geod,
         field=np.asarray(_require(vdata, "field", "inputs.variation"), dtype=float),
-        s_max=float(_require(vdata, "s_max", "inputs.variation")),
-        steps=int(_require(vdata, "steps", "inputs.variation")),
+        s_max=float(_checked(vdata, "s_max", "inputs.variation", POSITIVE)),
+        steps=_checked(vdata, "steps", "inputs.variation", count_rule(3)),
         perpendicular=bool(vdata.get("perpendicular", False)),
     )
-    profile = variation_minind_profile(
-        var, inputs.get("k"), params["samples"], float(params["tol"])
-    )
+    k = inputs.get("k")
+    if k is not None:
+        check_rule(count_rule(2), k, "inputs.k")
+    profile = variation_minind_profile(var, k, float(params["tol"]))
     return {
         "k0": profile.k0,
         "cut_t": profile.cut_t,
@@ -266,7 +274,7 @@ def _run_probe(space, inputs, params, seed):
 
 def _run_hessian(space, inputs, params, seed):
     x = _config_from_inputs(space, inputs, "inputs")
-    zero_tol = float(inputs.get("zero_tol", 1e-6))
+    zero_tol = float(_checked(inputs, "zero_tol", "inputs", NONNEGATIVE, 1e-6))
     report = hessian_index_nullity(x, zero_tol=zero_tol, tol=float(params["tol"]))
     return {
         "index": report.index,
@@ -280,7 +288,7 @@ def _run_hessian(space, inputs, params, seed):
 def _run_flow(space, inputs, params, seed):
     x = _config_from_inputs(space, inputs, "inputs")
     if "perturb" in inputs:
-        mag = float(_require(inputs["perturb"], "magnitude", "inputs.perturb"))
+        mag = float(_checked(inputs["perturb"], "magnitude", "inputs.perturb", NONNEGATIVE))
         rng = np.random.default_rng(seed)
         pts = tuple(
             space.exp_map(Tangent(p, rng.standard_normal(space.dim)), mag)
@@ -300,12 +308,12 @@ def _run_flow(space, inputs, params, seed):
 
 def _run_restart(space, inputs, params, seed):
     geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space)
-    rounds = int(inputs.get("rounds", 1))
+    rounds = _checked(inputs, "rounds", "inputs", count_rule(1), 1)
     fp = _flow_params(params)
     if rounds == 1:
-        reports = [restart_step(geod, fp, params["samples"], float(params["tol"]))]
+        reports = [restart_step(geod, fp, float(params["tol"]))]
     else:
-        reports = restart_until_stable(geod, fp, rounds, params["samples"], float(params["tol"]))
+        reports = restart_until_stable(geod, fp, rounds, float(params["tol"]))
     return {"rounds": len(reports), "reports": [_restart_to_dict(r) for r in reports]}
 
 
@@ -517,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="path to the scenario JSON file")
     run.add_argument("--out", help="report output path (default: stdout)")
     run.add_argument("--tol", type=float, help="minimizer tie tolerance")
-    run.add_argument("--samples", type=int, help="sample count for loop predicates")
     run.add_argument("--step", type=float, help="descent step size")
     run.add_argument("--max-iters", type=int, dest="max_iters")
     run.add_argument("--perturb-eps", type=float, dest="perturb_eps")
@@ -537,7 +544,6 @@ def main(argv=None) -> int:
     if args.subcommand == "run":
         overrides = {
             "tol": args.tol,
-            "samples": args.samples,
             "step": args.step,
             "max_iters": args.max_iters,
             "perturb_eps": args.perturb_eps,

@@ -28,7 +28,7 @@ from .energy import (
     smooth_gradient,
     uniform_energy,
 )
-from .errors import GeometryError, NonGeodesicLimitError, ValidationError
+from .errors import GeometryError, NonGeodesicLimitError, ResourceLimitError, ValidationError
 from .geodesics import (
     TWO_PI,
     ClosedGeodesic,
@@ -42,6 +42,9 @@ from .spaces import DEFAULT_TOL, Point, Tangent, effective_periods, wrap
 MIN_STEP = 1e-14
 COLLIDE_TOL = 1e-12
 NUDGE = 1e-9
+# a restart samples its loop at as many points as the minimizing index; a
+# larger index raises ResourceLimitError before any point is built
+MAX_RESTART_POINTS = 512
 
 
 def _real(v) -> bool:
@@ -51,28 +54,32 @@ def _real(v) -> bool:
         return False
 
 
-_POSITIVE = (lambda v: _real(v) and v > 0, "a finite number > 0")
-_COUNT = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
-          "an integer >= 1")
+def count_rule(least: int):
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least,
+            f"an integer >= {least}")
+
+
+# a rule is (predicate, what it asks for)
+POSITIVE = (lambda v: _real(v) and v > 0, "a finite number > 0")
+NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a finite number >= 0")
 # what every flow parameter must be; shared by FlowParams and the CLI
 FLOW_PARAM_RULES = {
-    "step": _POSITIVE,
-    "max_iters": _COUNT,
-    "grad_tol": _POSITIVE,
-    "energy_tol": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    "step": POSITIVE,
+    "max_iters": count_rule(1),
+    "grad_tol": POSITIVE,
+    "energy_tol": NONNEGATIVE,
     "perturb_eps": (lambda v: v is None or _real(v) and v > 0, "null or a finite number > 0"),
     "backtrack": (lambda v: _real(v) and 0 < v < 1, "a finite number in (0, 1)"),
-    "record_every": _COUNT,
-    "tol": _POSITIVE,
+    "record_every": count_rule(1),
+    "tol": POSITIVE,
 }
 
 
-def check_flow_param(name: str, value, where: str = "") -> None:
-    """Raise ``ValidationError`` naming ``where + name`` unless ``value`` is
-    a valid flow parameter ``name``."""
-    ok, need = FLOW_PARAM_RULES[name]
+def check_rule(rule, value, field: str) -> None:
+    """Raise ``ValidationError`` naming ``field`` unless ``value`` obeys ``rule``."""
+    ok, need = rule
     if not ok(value):
-        raise ValidationError(f"{where}{name}: expected {need}, got {value!r}")
+        raise ValidationError(f"{field}: expected {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ class FlowParams:
 
     def __post_init__(self):
         for f in fields(self):
-            check_flow_param(f.name, getattr(self, f.name))
+            check_rule(FLOW_PARAM_RULES[f.name], getattr(self, f.name), f.name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +349,6 @@ class RestartReport:
 def restart_step(
     g: ClosedGeodesic,
     params: FlowParams = FlowParams(),
-    samples: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> RestartReport:
     """Restart the flow at a closed geodesic via its gradient-like vector.
@@ -350,15 +356,19 @@ def restart_step(
     Samples k = minimizing index points starting at the widest cut pair,
     perturbs them against the gradient-like direction by ``perturb_eps``,
     reconnects minimally (implicit in the energy), and descends.  The limit
-    is classified and its minimizing index compared with the input's.
+    is classified and its minimizing index compared with the input's.  An
+    index above ``MAX_RESTART_POINTS`` raises ``ResourceLimitError``.
 
     Collapse to a contractible loop (a point) is reported as
     ``status="collapsed"`` with no after-geodesic.
     """
     if effective_periods(g.space) is None:
         raise ValidationError("the restart procedure runs on flat-torus backends")
-    k = minimizing_index(g, samples, tol)
-    cut = max_cut_pair(g, k, samples, tol)
+    k = minimizing_index(g, tol)
+    if k > MAX_RESTART_POINTS:
+        raise ResourceLimitError(
+            f"restart at index {k} exceeds MAX_RESTART_POINTS = {MAX_RESTART_POINTS}")
+    cut = max_cut_pair(g, k, tol)
     t0 = 0.0 if cut is None else cut.t
     pts = tuple(point_at(g, t0 + TWO_PI * i / k) for i in range(k))
     x = Configuration(g.space, pts)
@@ -395,7 +405,7 @@ def restart_step(
     classify_tol = max(1e-4, 10.0 * params.grad_tol)
     try:
         after = classify_limit(limit, tol=classify_tol)
-        after_minind = minimizing_index(after, samples, tol)
+        after_minind = minimizing_index(after, tol)
         status = "improved" if after_minind < k else "unchanged"
     except NonGeodesicLimitError:
         after, after_minind, status = None, None, "collapsed"
@@ -416,7 +426,6 @@ def restart_until_stable(
     g: ClosedGeodesic,
     params: FlowParams = FlowParams(),
     max_rounds: int = 8,
-    samples: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> list[RestartReport]:
     """Iterate restarts until the minimizing index stops decreasing, the
@@ -425,7 +434,7 @@ def restart_until_stable(
     current = g
     unchanged_streak = 0
     for _ in range(max_rounds):
-        report = restart_step(current, params, samples, tol)
+        report = restart_step(current, params, tol)
         reports.append(report)
         if report.status in ("no_restart", "collapsed", "error"):
             break

@@ -6,6 +6,14 @@ then minimizes on longer subarcs.  A geodesic is "openly" 1/k when, in
 addition, no pair of points at arc distance L/k is a cut pair, so the
 minimization survives small perturbations.
 
+Every backend is a flat quotient, so all of this is exact, not sampled.  The
+loop lifts to a straight line in the cover and closes by a lattice vector D.
+Each translation lift of a pair at arc L/k is D/k plus a lattice vector,
+whatever the pair.  On the doubled rectangle, a reflection lift sweeps a
+line as the pair moves, so its shortest length is the distance of that line
+from the lattice, the same at every k.  The index, the openly test and the
+cut pair therefore cost O(1) per product factor (``Space.loop_arcs``).
+
 Two descriptors are supported: a homotopy class on (products of) flat tori,
 and a generic base + direction + length loop verified to close up.
 """
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +40,6 @@ from .spaces import (
 )
 
 TWO_PI = 2.0 * math.pi
-SAMPLES_PER_ARC = 64
 CLOSURE_TOL = 1e-9
 
 
@@ -114,56 +122,36 @@ def _points_batch(g: ClosedGeodesic, ts: np.ndarray):
         periods = effective_periods(g.space)
         disp = g.klass * periods
         return wrap(g.base.coords[None, :] + frac[:, None] * disp[None, :], periods), None
-    if g.space.supports_batch:
-        return g.space.line_batch(g.base, g.direction, frac * g.length)
-    pts = [point_at(g, t) for t in ts]
-    return np.array([p.coords for p in pts]), [p.face for p in pts]
+    return g.space.line_batch(g.base, g.direction, frac * g.length)
 
 
-def _pair_arrays(g: ClosedGeodesic, k: int, samples: int):
-    ts = np.arange(samples) * (TWO_PI / samples)
-    a, fa = _points_batch(g, ts)
-    b, fb = _points_batch(g, ts + TWO_PI / k)
-    return ts, a, fa, b, fb
-
-
-def _pair_distances(g: ClosedGeodesic, k: int, samples: int):
-    ts, a, fa, b, fb = _pair_arrays(g, k, samples)
-    if isinstance(fa, list) or isinstance(fb, list):
-        d = np.array(
-            [
-                g.space.distance(point_at(g, t), point_at(g, t + TWO_PI / k))
-                for t in ts
-            ]
-        )
-        return ts, d
-    return ts, g.space.distance_batch(a, fa, b, fb)
-
-
-def default_samples(k: int) -> int:
-    return SAMPLES_PER_ARC * k
-
-
-def is_k_geodesic(
-    g: ClosedGeodesic, k: int, samples: int | None = None, tol: float = DEFAULT_TOL
-) -> bool:
-    """True when the loop minimizes on every sampled arc of length L/k."""
+def _arcs(g: ClosedGeodesic, k: int, tol: float):
     if k < 2:
         raise ValidationError("k must be at least 2")
-    samples = samples or default_samples(k)
-    _, d = _pair_distances(g, k, samples)
-    return bool(np.all(np.abs(d - g.length / k) <= tol))
+    if g.kind == "torus_class":
+        disp = g.klass * effective_periods(g.space)
+    else:
+        disp = g.length * g.direction
+    return g.space.loop_arcs(g.base, disp, k, tol)
 
 
-def minimizing_index(
-    g: ClosedGeodesic, samples: int | None = None, tol: float = DEFAULT_TOL
-) -> int:
-    """Smallest k >= 2 for which the loop is a 1/k-geodesic (sampled oracle)."""
-    k_max = math.ceil(2.0 * g.length / g.space.min_scale()) + 2
-    for k in range(2, k_max + 1):
-        if is_k_geodesic(g, k, samples, tol):
-            return k
-    raise GeometryError(f"no k <= {k_max} minimizes; geometry backend inconsistent")
+def is_k_geodesic(g: ClosedGeodesic, k: int, tol: float = DEFAULT_TOL) -> bool:
+    """True when the loop minimizes on every arc of length L/k."""
+    return _arcs(g, k, tol).minimizing
+
+
+def minimizing_index(g: ClosedGeodesic, tol: float = DEFAULT_TOL) -> int:
+    """Smallest k >= 2 for which the loop is a 1/k-geodesic.
+
+    The closed form gives it up to float and ``tol`` edges, which one test
+    at k and one at k - 1 settle.
+    """
+    k = _arcs(g, 2, tol).floor
+    if not is_k_geodesic(g, k, tol):
+        k += 1
+    elif k > 2 and is_k_geodesic(g, k - 1, tol):
+        k -= 1
+    return k
 
 
 def torus_class_minind(g: ClosedGeodesic) -> int:
@@ -173,63 +161,57 @@ def torus_class_minind(g: ClosedGeodesic) -> int:
     return 2 * int(np.max(np.abs(g.klass)))
 
 
-def is_openly_k_geodesic(
-    g: ClosedGeodesic, k: int, samples: int | None = None, tol: float = DEFAULT_TOL
-) -> bool:
-    """True when no sampled pair at arc distance L/k is a cut pair."""
-    if not is_k_geodesic(g, k, samples, tol):
-        raise ValidationError("openly check requires a 1/k-geodesic")
-    samples = samples or default_samples(k)
-    ts, a, fa, b, fb = _pair_arrays(g, k, samples)
-    if not isinstance(fa, list) and not isinstance(fb, list) and g.space.supports_batch:
-        counts = g.space.min_count_batch(a, fa, b, fb, tol)
-        return bool(np.all(counts < 2))
-    for t in ts:
-        if g.space.is_cut_pair(point_at(g, t), point_at(g, t + TWO_PI / k), tol):
-            return False
-    return True
+def _minimizing_arcs(g: ClosedGeodesic, k: int, tol: float):
+    arcs = _arcs(g, k, tol)
+    if not arcs.minimizing:
+        raise ValidationError(f"the loop is not a 1/{k}-geodesic")
+    return arcs
 
 
-class CutPair:
-    """A sampled parameter whose arc endpoints are joined by several minimizers."""
-
-    __slots__ = ("t", "distance")
-
-    def __init__(self, t: float, distance: float):
-        self.t = t
-        self.distance = distance
-
-    def __repr__(self):
-        return f"CutPair(t={self.t:.6f}, distance={self.distance:.6f})"
+def is_openly_k_geodesic(g: ClosedGeodesic, k: int, tol: float = DEFAULT_TOL) -> bool:
+    """True when no pair at arc distance L/k is a cut pair (the loop must be
+    a 1/k-geodesic)."""
+    return _minimizing_arcs(g, k, tol).cut is None
 
 
-def max_cut_pair(
-    g: ClosedGeodesic, k: int, samples: int | None = None, tol: float = DEFAULT_TOL
-) -> CutPair | None:
-    """The sampled cut pair at arc separation 2*pi/k of maximal distance.
+class CutPair(NamedTuple):
+    """A parameter whose arc endpoints are joined by several minimizers."""
 
-    Ties are broken toward the smallest parameter.  Returns None when no
-    sampled pair is a cut pair.
-    """
-    samples = samples or default_samples(k)
-    ts, a, fa, b, fb = _pair_arrays(g, k, samples)
-    if not isinstance(fa, list) and not isinstance(fb, list) and g.space.supports_batch:
-        counts = g.space.min_count_batch(a, fa, b, fb, tol)
-        dists = g.space.distance_batch(a, fa, b, fb)
-        cut = counts >= 2
+    t: float
+    distance: float
+
+
+def _pair_distance(g: ClosedGeodesic, t: float, k: int) -> float:
+    """Distance of the loop points at t and t + 2*pi/k, as the squares of the
+    nearest cover lift sum up (on the doubled rectangle, over both sheets)."""
+    ts = np.array([t, t + TWO_PI / k])
+    pts, faces = _points_batch(g, ts)
+    if isinstance(faces, list):  # a product with a doubled-rectangle factor
+        return g.space.distance(point_at(g, ts[0]), point_at(g, ts[1]))
+    periods = effective_periods(g.space)
+    if periods is None:  # doubled rectangle: embed the faces in the cover
+        periods = g.space.cover_periods
+        pts[:, 1] = np.where(faces, 2.0 * g.space.b - pts[:, 1], pts[:, 1])
+        deltas = (pts[1] - pts[0], -pts[1] - pts[0])
     else:
-        cut = np.array(
-            [g.space.is_cut_pair(point_at(g, t), point_at(g, t + TWO_PI / k), tol) for t in ts]
-        )
-        dists = np.array(
-            [g.space.distance(point_at(g, t), point_at(g, t + TWO_PI / k)) for t in ts]
-        )
-    if not np.any(cut):
+        deltas = (pts[1] - pts[0],)
+    return min(
+        float(np.sqrt(((d - periods * np.round(d / periods)) ** 2).sum())) for d in deltas
+    )
+
+
+def max_cut_pair(g: ClosedGeodesic, k: int, tol: float = DEFAULT_TOL) -> CutPair | None:
+    """The cut pair at arc separation 2*pi/k with the smallest parameter.
+
+    Every pair of a 1/k-geodesic is at distance L/k, so this is also a cut
+    pair of maximal distance.  Returns None when there is no cut pair, and
+    raises ``ValidationError`` when the loop is not a 1/k-geodesic.
+    """
+    cut = _minimizing_arcs(g, k, tol).cut
+    if cut is None:
         return None
-    dmax = dists[cut].max()
-    near = cut & (dists >= dmax - 1e-12)
-    t0 = float(ts[near][0])
-    return CutPair(t=t0, distance=float(dists[near][0]))
+    t = TWO_PI * cut
+    return CutPair(t=t, distance=_pair_distance(g, t, k))
 
 
 def geodesic_from_chain(x, chain, tol: float = 1e-6) -> ClosedGeodesic:
@@ -318,7 +300,6 @@ class VariationProfile:
 def variation_minind_profile(
     var: VariationSpec,
     k_hint: int | None = None,
-    samples: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> VariationProfile:
     """Minimizing index and openly flag along the family, plus the one-sided
@@ -328,23 +309,24 @@ def variation_minind_profile(
     the minimizing index at the smallest positive sampled s equals k0 + 1.
     ``openly_preserved`` reports whether a centrally openly-1/k0 loop stays
     openly 1/k0 over the whole sampled range (None when not openly at 0).
+    A ``k_hint`` below the central loop's index raises ``ValidationError``.
     """
     from .energy import dplus_distance
 
     g = var.geodesic
-    k0 = k_hint or minimizing_index(g, samples, tol)
+    k0 = k_hint or minimizing_index(g, tol)
+    cut = max_cut_pair(g, k0, tol)
     svals = np.linspace(-var.s_max, var.s_max, var.steps)
     rows = []
     for s in svals:
         shifted = variation_geodesic(var, float(s))
         _check_variation(var, float(s), shifted, tol)
-        mind = minimizing_index(shifted, samples, tol)
-        openly = mind <= k0 and is_k_geodesic(shifted, k0, samples, tol) and is_openly_k_geodesic(
-            shifted, k0, samples, tol
+        mind = minimizing_index(shifted, tol)
+        openly = mind <= k0 and is_k_geodesic(shifted, k0, tol) and is_openly_k_geodesic(
+            shifted, k0, tol
         )
         rows.append(ProfileRow(s=float(s), minind=mind, openly=openly))
 
-    cut = max_cut_pair(g, k0, samples, tol)
     dplus = None
     forward_jump = None
     if cut is not None:
@@ -354,11 +336,7 @@ def variation_minind_profile(
         if dplus < 0:
             positives = [r for r in rows if r.s > 0]
             forward_jump = bool(positives) and positives[0].minind == k0 + 1
-
-    central_openly = None
-    if is_k_geodesic(g, k0, samples, tol):
-        central_openly = is_openly_k_geodesic(g, k0, samples, tol)
-    openly_preserved = all(r.openly for r in rows) if central_openly else None
+    openly_preserved = all(r.openly for r in rows) if cut is None else None
 
     return VariationProfile(
         rows=tuple(rows),

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .errors import (
     DegenerateTrajectoryError,
     DimensionMismatchError,
     ResourceLimitError,
-    SpaceSupportError,
     ValidationError,
 )
 
@@ -92,6 +92,15 @@ class MinGeodesic:
     degenerate: bool = False
 
 
+class LoopArcs(NamedTuple):
+    """What the covering-space lifts say about the pairs of points at arc
+    separation L/k of a straight closed loop of length L."""
+
+    floor: int  # smallest k >= 2 the closed forms allow; the same for every k
+    minimizing: bool  # every pair is joined by its arc, within tol
+    cut: float | None  # smallest loop fraction in [0, 1) of a pair with two minimizers
+
+
 def _as_vector(x, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (dim,):
@@ -130,6 +139,12 @@ class Space:
         """
         return len(self.minimizing_geodesics(p, q, tol, allow_degenerate=True)) >= 2
 
+    def loop_arcs(self, base: Point, disp: np.ndarray, k: int, tol: float = DEFAULT_TOL):
+        """Closed-form ``LoopArcs`` of the straight closed loop that leaves
+        ``base`` along ``disp`` (the closing displacement, a chart vector of
+        length L) and returns to it with the same velocity.  O(1) in k."""
+        raise NotImplementedError
+
     # -- flows ---------------------------------------------------------------
 
     def flow(self, tan: Tangent, s: float, carry: tuple = ()):
@@ -147,12 +162,8 @@ class Space:
     # -- misc ----------------------------------------------------------------
 
     def min_scale(self) -> float:
-        """Shortest period-like length; used for search bounds and defaults."""
+        """Shortest period-like length; scales default perturbation sizes."""
         raise NotImplementedError
-
-    @property
-    def supports_batch(self) -> bool:
-        return False
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -243,6 +254,18 @@ class FlatTorus(Space):
                 segs.append(MinGeodesic(length=length, v0=v, v1=v.copy(), lift=lam))
         return segs
 
+    def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
+        # every translation lift of every pair at arc L/k is disp/k plus a
+        # lattice vector, so one row decides them all and the base is moot;
+        # the row is reduced exactly when k >= 2 * max |class entry|
+        row = disp / k
+        delta = row - self.periods * np.round(row / self.periods)
+        length = math.sqrt(float(delta @ delta))
+        floor = max(2, 2 * int(np.abs(np.round(disp / self.periods)).max()))
+        tie = bool(self._flip_ties(delta, length, tol).any())
+        minimizing = length >= float(np.linalg.norm(disp)) / k - tol
+        return LoopArcs(floor, minimizing, 0.0 if tie else None)
+
     def flow(self, tan: Tangent, s: float, carry: tuple = ()):
         self._check_point(tan.base)
         vec = _as_vector(tan.vec, self.dim, "tangent vector")
@@ -252,10 +275,6 @@ class FlatTorus(Space):
     def min_scale(self) -> float:
         return float(self.periods.min())
 
-    @property
-    def supports_batch(self) -> bool:
-        return True
-
     # batch kernels operate on (N, dim) coordinate arrays; faces unused here
 
     def _nearest(self, A, B) -> np.ndarray:
@@ -264,19 +283,12 @@ class FlatTorus(Space):
         return delta - self.periods * np.round(delta / self.periods)
 
     def _flip_ties(self, delta, length, tol) -> np.ndarray:
-        """Per row and coordinate: does flipping that coordinate to the far
-        lift give a minimizer within ``tol`` of the nearest one?"""
+        """Per coordinate of the nearest-lift displacement ``delta``: does
+        flipping it to the far lift give a minimizer within ``tol`` of the
+        nearest one?  ``length`` is |delta|, broadcast against ``delta``."""
         # squared-length increase of flipping coordinate i to the far lift
         inc = self.periods * (self.periods - 2.0 * np.abs(delta))
-        return inc <= 2.0 * length[:, None] * tol + tol * tol
-
-    def distance_batch(self, A, fa, B, fb) -> np.ndarray:
-        return np.sqrt((self._nearest(A, B) ** 2).sum(axis=1))
-
-    def min_count_batch(self, A, fa, B, fb, tol: float) -> np.ndarray:
-        delta = self._nearest(A, B)
-        d = np.sqrt((delta**2).sum(axis=1))
-        return np.where(self._flip_ties(delta, d, tol), 2, 1).prod(axis=1)
+        return inc <= 2.0 * length * tol + tol * tol
 
     def segment_batch(self, A, B, tol: float):
         """Array form of ``minimizing_geodesics`` for the pairs (A[j], B[j]).
@@ -284,8 +296,8 @@ class FlatTorus(Space):
         Returns the initial unit velocity ``v0`` (N, dim) and the ``length``
         (N,) of the nearest lift, bit for bit as the scalar minimizer gives
         them, and ``unique`` (N,): the pair certainly has no other minimizer
-        within ``tol``.  The certificate is the flip test of
-        ``min_count_batch`` with a margin wider than ``tol``, so a pair near
+        within ``tol``.  The certificate is the per-coordinate flip test
+        with a margin wider than ``tol``, so a pair near
         the threshold is left uncertified rather than misjudged.  Lengths
         use ``np.vecdot``, which adds like ``np.linalg.norm``; ``(D*D).sum``
         rounds differently in some rows.  A pair at distance 0 (coincident,
@@ -297,7 +309,7 @@ class FlatTorus(Space):
         with np.errstate(invalid="ignore", divide="ignore"):
             v0 = delta / length[:, None]
         margin = 2.0 * tol + TIE_SLACK * self.periods
-        return v0, length, ~self._flip_ties(delta, length, margin).any(axis=1)
+        return v0, length, ~self._flip_ties(delta, length[:, None], margin).any(axis=1)
 
     def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
         return wrap(base.coords[None, :] + lengths[:, None] * direction[None, :], self.periods), None
@@ -480,6 +492,38 @@ class DoubledRectangle(Space):
                 out.append(s)
         return out
 
+    def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
+        c = self._embed(base)
+        cover = self._chart_matrix(base.face) @ disp
+        arcs = FlatTorus(self.cover_periods).loop_arcs(base, cover, k, tol)
+        # The reflection lift lam of the pair at s has length |lam - 2c -
+        # (2s + r) e|; as s runs round the loop it sweeps the line through 2c
+        # along e, so its minimum |<lam - 2c, nu>| is the same at every k.
+        length = float(np.linalg.norm(cover))
+        e = cover / length
+        nu = np.array([-e[1], e[0]])
+        m0, m1 = (int(v) for v in np.round(cover / self.cover_periods))
+        g = math.gcd(m0, m1)
+        if g == 0:  # the loop stays within rounding of one point (a product factor)
+            return arcs
+        u0 = pow(m0 // g, -1, abs(m1 // g)) if m1 else m0 // g
+        u1 = (g - m0 * u0) // m1 if m1 else 0  # m0 u0 + m1 u1 = g
+        # lattice vectors have <lam, nu> in h*Z
+        h = float(self.cover_periods.prod()) * g / length
+        x = 2.0 * float(c @ nu)
+        r = length / k
+        near = (math.floor(x / h), math.floor(x / h) + 1)
+        gaps = [abs(n * h - x) for n in near]
+        cuts = [] if arcs.cut is None else [arcs.cut]
+        for n, gap in zip(near, gaps):
+            if gap <= r + tol:
+                # <lam, nu> = n h; this lift is shortest at 2s + r = <lam - 2c, e>
+                lam = n * np.array([-u1, u0]) * self.cover_periods
+                u = float((lam - 2.0 * c) @ e)
+                cuts.append(((u - r) / 2.0) % (length / (2.0 * g)) / length)
+        floor = max(arcs.floor, math.ceil(length / (min(gaps) + tol)))
+        return LoopArcs(floor, arcs.minimizing and min(gaps) >= r - tol, min(cuts, default=None))
+
     # -- flows ----------------------------------------------------------------
 
     def flow(self, tan: Tangent, s: float, carry: tuple = ()):
@@ -500,48 +544,7 @@ class DoubledRectangle(Space):
     def min_scale(self) -> float:
         return min(self.a, self.b)
 
-    @property
-    def supports_batch(self) -> bool:
-        return True
-
     # batch points are (coords (N,2), is_bottom (N,) bool)
-
-    def _embed_batch(self, coords, is_bottom):
-        out = coords.copy()
-        out[:, 1] = np.where(is_bottom, 2.0 * self.b - out[:, 1], out[:, 1])
-        return out
-
-    def distance_batch(self, A, fa, B, fb) -> np.ndarray:
-        pa = self._embed_batch(A, fa)
-        pb = self._embed_batch(B, fb)
-        best = None
-        for signed in (pb, -pb):
-            delta = signed - pa
-            delta = delta - self.cover_periods * np.round(delta / self.cover_periods)
-            d = np.sqrt((delta**2).sum(axis=1))
-            best = d if best is None else np.minimum(best, d)
-        return best
-
-    def min_count_batch(self, A, fa, B, fb, tol: float) -> np.ndarray:
-        pa = self._embed_batch(A, fa)
-        pb = self._embed_batch(B, fb)
-        lengths = []
-        dmax = float(self.distance_batch(A, fa, B, fb).max())
-        reach = dmax + tol
-        k1 = math.ceil(reach / self.cover_periods[0]) + 1
-        k2 = math.ceil(reach / self.cover_periods[1]) + 1
-        offs = np.array(
-            [(i * self.cover_periods[0], j * self.cover_periods[1])
-             for i in range(-k1, k1 + 1) for j in range(-k2, k2 + 1)]
-        )
-        for signed in (pb, -pb):
-            delta = signed - pa
-            delta = delta - self.cover_periods * np.round(delta / self.cover_periods)
-            cand = delta[:, None, :] + offs[None, :, :]
-            lengths.append(np.sqrt((cand**2).sum(axis=2)))
-        alll = np.concatenate(lengths, axis=1)
-        dmin = alll.min(axis=1, keepdims=True)
-        return (alll <= dmin + tol).sum(axis=1)
 
     def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
         start = self._embed(base)
@@ -676,20 +679,19 @@ class Product(Space):
             tuple(np.concatenate(slot) for slot in outcarry),
         )
 
+    def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
+        # a product pair is minimizing exactly when every factor pair is, and
+        # a cut pair when any factor pair is; a factor the loop does not move
+        # in constrains nothing
+        parts = [f.loop_arcs(p, d, k, tol)
+                 for f, p, d in zip(self.factors, self._split_point(base), self._split(disp))
+                 if np.any(d)]
+        cuts = [a.cut for a in parts if a.cut is not None]
+        return LoopArcs(max(a.floor for a in parts), all(a.minimizing for a in parts),
+                        min(cuts, default=None))
+
     def min_scale(self) -> float:
         return min(f.min_scale() for f in self.factors)
-
-    @property
-    def supports_batch(self) -> bool:
-        return all(isinstance(f, FlatTorus) for f in self.factors)
-
-    def _effective_torus(self) -> FlatTorus:
-        if not self.supports_batch:
-            raise SpaceSupportError("product contains a non-torus factor")
-        return FlatTorus(np.concatenate([f.periods for f in self.factors]))
-
-    def distance_batch(self, A, fa, B, fb) -> np.ndarray:
-        return self._effective_torus().distance_batch(A, fa, B, fb)
 
     def segment_batch(self, A, B, tol: float):
         """``FlatTorus.segment_batch`` for a product of tori, composed from
@@ -703,11 +705,14 @@ class Product(Space):
             v0 = np.concatenate(scaled, axis=1) / length[:, None]
         return v0, length, np.logical_and.reduce([u for _, _, u in parts])
 
-    def min_count_batch(self, A, fa, B, fb, tol: float) -> np.ndarray:
-        return self._effective_torus().min_count_batch(A, fa, B, fb, tol)
-
     def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
-        return self._effective_torus().line_batch(base, direction, lengths)
+        """Factor ``line_batch``es side by side; faces, when a factor has
+        them, as a list with one entry per factor."""
+        parts = [f.line_batch(p, direction[lo:hi], lengths)
+                 for f, p, (lo, hi) in zip(self.factors, self._split_point(base), self._offsets)]
+        faces = [fc for _, fc in parts]
+        coords = np.concatenate([c for c, _ in parts], axis=1)
+        return coords, None if all(fc is None for fc in faces) else faces
 
     def to_dict(self) -> dict:
         return {"type": "product", "factors": [f.to_dict() for f in self.factors]}

@@ -125,3 +125,78 @@ def brute_extremes(x, tol=1e-9, magnitude_tol=1e-12):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# -- dense reference for the loop predicates --------------------------------------
+
+
+def _loop_legs(g):
+    """(periods, start, disp, reflects) in the cover, per leaf factor the loop
+    moves in; torus classes (also on products of tori) are one torus leg."""
+    if g.kind == "torus_class":
+        periods = lf.effective_periods(g.space)
+        return [(periods, g.base.coords, g.klass * periods, False)]
+    factors = g.space.factors if isinstance(g.space, lf.Product) else [g.space]
+    faces = g.base.face if isinstance(g.base.face, tuple) else (g.base.face,)
+    legs, lo = [], 0
+    for f, face in zip(factors, faces):
+        coords = g.base.coords[lo:lo + f.dim]
+        disp = g.length * g.direction[lo:lo + f.dim]
+        lo += f.dim
+        if not np.any(disp):
+            continue
+        if isinstance(f, lf.DoubledRectangle):
+            chart = np.array([1.0, -1.0 if face == "bottom" else 1.0])
+            legs.append((np.array([2.0 * f.a, 2.0 * f.b]), double_embed(f.b, coords, face),
+                         chart * disp, True))
+        else:
+            legs.append((f.periods, coords, disp, False))
+    return legs
+
+
+def _sorted_lift_lengths(periods, P, Q, reflects):
+    """Per row, the sorted lengths of every lift of (P[j], Q[j]) within one
+    lattice step of the nearest, on both sheets when the leg reflects."""
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=P.shape[1]))) * periods
+    out = []
+    for d in [Q - P] + ([-Q - P] if reflects else []):
+        d = d - periods * np.round(d / periods)
+        out.append(np.linalg.norm(d[:, None, :] + steps[None], axis=2))
+    return np.sort(np.concatenate(out, axis=1), axis=1)
+
+
+def dense_loop_arcs(g, k, tol=1e-9, per_arc=64):
+    """Brute verdict on the pairs at arc L/k, from lattice scans of densely
+    sampled pairs: (margin, cut, gap).
+
+    ``margin`` is the smallest pair distance minus L/k (the loop is 1/k when
+    it is >= -tol); ``cut`` the smallest sampled loop fraction whose pair has
+    a second minimizer within tol, or None; ``gap`` the smallest distance
+    between a pair's two shortest lifts in any factor.  Besides the uniform
+    grid, every reflection lift nearest at a grid sample is also evaluated
+    where it is shortest, so narrow windows are not missed.
+    """
+    legs = _loop_legs(g)
+    u = np.arange(per_arc * k) / (per_arc * k)
+    extra = []
+    for periods, c, disp, reflects in legs:
+        if reflects:
+            P = c + u[:, None] * disp
+            Q = c + (u[:, None] + 1.0 / k) * disp
+            lam = -periods * np.round((-Q - P) / periods)
+            # |lam - 2c - (2u + 1/k) disp| is shortest at this u, and again
+            # wherever 2u moves by a lattice period of the loop's line
+            best = ((lam - 2.0 * c) @ disp / (disp @ disp) - 1.0 / k) / 2.0
+            g_ = math.gcd(*(int(m) for m in np.round(disp / periods)))
+            extra += [best + j / (2.0 * g_) for j in range(2 * g_)]
+    u = np.unique(np.concatenate([u] + extra) % 1.0)
+    dist2, count, gap = 0.0, 1, math.inf
+    for periods, c, disp, reflects in legs:
+        lengths = _sorted_lift_lengths(periods, c + u[:, None] * disp,
+                                       c + (u[:, None] + 1.0 / k) * disp, reflects)
+        dist2 = dist2 + lengths[:, 0] ** 2
+        count = count * (lengths <= lengths[:, :1] + tol).sum(axis=1)
+        gap = min(gap, float((lengths[:, 1] - lengths[:, 0]).min()))
+    margin = float(np.sqrt(dist2).min()) - g.length / k
+    cuts = u[count >= 2]
+    return margin, (float(cuts.min()) if cuts.size else None), gap

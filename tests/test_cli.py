@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,6 +65,17 @@ FLOW_NOISY = {
         "method": "descend",
         "perturb": {"magnitude": 0.02},
     },
+}
+
+
+OPENLY_12 = dict(MININD_12, command="openly", inputs=dict(MININD_12["inputs"], k=4))
+RESTART_12 = dict(MININD_12, command="restart")
+HESSIAN_LINE = {
+    "schema": 1,
+    "space": TREC_SPACE,
+    "command": "hessian",
+    "seed": 0,
+    "inputs": {"points": [{"coords": [x, 0.25], "face": None} for x in (0.0, 0.25, 0.5, 0.75)]},
 }
 
 
@@ -174,6 +186,58 @@ class TestRunScenario:
         code = run_scenario(write(tmp_path, "bad.json", bad), str(tmp_path / "r.json"))
         assert code == 2
         assert f"params.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, path, value",
+        [
+            (OPENLY_12, ("inputs", "k"), "abc"),  # used to end in a ValueError traceback
+            (OPENLY_12, ("inputs", "k"), 4.7),  # used to be truncated to 4
+            (SLIDE_PROBE, ("inputs", "k"), 2.5),
+            (RESTART_12, ("inputs", "rounds"), 0),  # used to give an empty report
+            (SLIDE_PROBE, ("inputs", "variation", "s_max"), float("nan")),
+            (SLIDE_PROBE, ("inputs", "variation", "steps"), 4.5),  # used to be truncated
+            (FLOW_NOISY, ("inputs", "perturb", "magnitude"), -0.01),
+            (HESSIAN_LINE, ("inputs", "zero_tol"), -1.0),
+        ],
+    )
+    def test_bad_input_exits_2(self, tmp_path, capsys, doc, path, value):
+        bad = json.loads(json.dumps(doc))
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code = run_scenario(write(tmp_path, "bad.json", bad), str(tmp_path / "r.json"))
+        assert code == 2
+        assert ".".join(path) in capsys.readouterr().err
+
+    def test_restart_beyond_the_point_cap_exits_3(self, tmp_path, capsys):
+        huge = json.loads(json.dumps(RESTART_12))
+        huge["inputs"]["geodesic"]["class"] = [10**6, 1]
+        code = run_scenario(write(tmp_path, "huge.json", huge), str(tmp_path / "r.json"))
+        assert code == 3
+        assert "MAX_RESTART_POINTS" in capsys.readouterr().err
+
+    def test_openly_at_huge_k_returns_fast(self, tmp_path):
+        # sampling 64 points per arc ran out of memory here
+        scenario = {
+            "schema": 1,
+            "space": DOUBLE_SPACE,
+            "command": "openly",
+            "seed": 0,
+            "inputs": {"geodesic": SLIDE_PROBE["inputs"]["variation"]["geodesic"], "k": 10**7},
+        }
+        out = str(tmp_path / "r.json")
+        started = time.perf_counter()
+        assert run_scenario(write(tmp_path, "s.json", scenario), out) == 0
+        assert time.perf_counter() - started < 1.0
+        assert load(out)["outputs"] == {"k": 10**7, "is_k_geodesic": True, "openly": True}
+
+    def test_samples_is_accepted_and_echoed(self, tmp_path):
+        out = str(tmp_path / "r.json")
+        assert run_scenario(write(tmp_path, "s.json", dict(MININD_12, params={"samples": 8})), out) == 0
+        report = load(out)
+        assert report["params_resolved"]["samples"] == 8
+        assert report["outputs"]["minind"] == 4
 
     def test_determinism_modulo_wall_time(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

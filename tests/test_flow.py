@@ -181,6 +181,13 @@ class TestRestartStep:
             lf.restart_step(g)
 
 
+    def test_index_beyond_the_point_cap_raises_before_sampling(self):
+        torus = lf.FlatTorus([1.0, 0.75])
+        g = lf.torus_class_geodesic(torus, torus.point([0.1, 0.2]), [10**6, 1])
+        with pytest.raises(lf.ResourceLimitError, match="MAX_RESTART_POINTS"):
+            lf.restart_step(g)
+
+
 class TestRestartUntilStable:
     def test_example_finishes_in_one_round(self):
         g = lf.torus_class_geodesic(TREC, TREC.point([0.125, 0.0625]), [1, 2])

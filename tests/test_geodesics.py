@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_loop_arcs
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import loopflow as lf
 
@@ -94,12 +97,6 @@ class TestMinimizingIndex:
                 continue
             g = lf.torus_class_geodesic(T3, T3.point([0.1, 0.2, 0.3]), klass)
             assert lf.minimizing_index(g) == 2 * max(abs(m) for m in klass)
-
-    def test_sampling_stability(self):
-        for klass in ([1, 2], [2, 1], [1, 1]):
-            g = lf.torus_class_geodesic(TREC, TREC.point([0.13, 0.21]), klass)
-            k = lf.torus_class_minind(g)
-            assert lf.minimizing_index(g, samples=64 * k) == lf.minimizing_index(g, samples=128 * k)
 
     def test_minimality_of_index(self):
         for klass in ([1, 2], [2, 1], [3, 1]):
@@ -214,6 +211,136 @@ class TestVariationProfile:
         )
         with pytest.raises(lf.ValidationError):
             lf.variation_minind_profile(var)
+
+
+def dr_loop(x, y, klass, face="top"):
+    """Straight loop of the doubled 2x1 rectangle in cover class ``klass``."""
+    disp = np.array(klass) * D21.cover_periods
+    length = float(np.linalg.norm(disp))
+    return lf.segment_loop_geodesic(D21, D21.point([x, y], face), disp / length, length)
+
+
+class TestExactIndex:
+    """Regressions of the sampled index it replaced: loops near an edge
+    needed more points than its search bound, and narrow windows fell
+    between its samples."""
+
+    def test_horizontal_loop_near_the_edge_needs_twenty(self):
+        g = dr_loop(0.5, 0.1, [1, 0])
+        assert lf.minimizing_index(g) == 20
+        assert lf.is_k_geodesic(g, 20) and not lf.is_k_geodesic(g, 19)
+
+    def test_sampled_grid_miss_loop_has_index_four(self):
+        # reflection lifts shorter than L/3 exist only in a narrow window
+        # that 64 samples per arc missed
+        g = dr_loop(0.33331045434698636, 0.5793240165218595, [0, 1])
+        assert lf.minimizing_index(g) == 4
+        assert not lf.is_k_geodesic(g, 3)
+
+    def test_no_seeded_doubled_rectangle_loop_raises(self):
+        rng = np.random.default_rng(270)
+        classes = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)]
+        for klass in classes:
+            for _ in range(30):
+                face = ("top", "bottom")[rng.integers(2)]
+                g = dr_loop(rng.uniform(0, 2), rng.uniform(0, 1), klass, face)
+                k = lf.minimizing_index(g)
+                assert lf.is_k_geodesic(g, k) and (k == 2 or not lf.is_k_geodesic(g, k - 1))
+
+    def test_huge_class_index_is_constant_time(self):
+        g = lf.torus_class_geodesic(TREC, TREC.point([0.1, 0.2]), [10**6, 1])
+        assert lf.minimizing_index(g) == 2 * 10**6
+
+    def test_reflection_cut_pair_off_the_base(self):
+        # at the critical offset 1/3 the loop is 1/3, and a reflection lift
+        # ties with the arc at one parameter only
+        g = dr_loop(1.0 / 3.0, 0.25, [0, 1])
+        cut = lf.max_cut_pair(g, 3)
+        assert cut is not None and 0.0 < cut.t < 2 * math.pi
+        assert cut.distance == pytest.approx(g.length / 3, abs=1e-12)
+        p, q = lf.point_at(g, cut.t), lf.point_at(g, cut.t + 2 * math.pi / 3)
+        assert len(D21.minimizing_geodesics(p, q)) == 2
+        # away from it, pairs have one minimizer
+        q = lf.point_at(g, cut.t + 0.1 + 2 * math.pi / 3)
+        assert len(D21.minimizing_geodesics(lf.point_at(g, cut.t + 0.1), q)) == 1
+
+    def test_product_factor_moving_within_rounding_constrains_nothing(self):
+        product = lf.Product([lf.FlatTorus([1.25]), D21])
+        disp = np.array([1.25, 1e-13, 0.0])
+        base = product.point([0.1, 0.5, 0.5], (None, "top"))
+        g = lf.segment_loop_geodesic(product, base, disp / 1.25, 1.25)
+        assert lf.minimizing_index(g) == 2
+
+    def test_cut_pair_needs_a_one_k_geodesic(self):
+        g = lf.torus_class_geodesic(TREC, TREC.point([0, 0]), [1, 2])
+        with pytest.raises(lf.ValidationError):
+            lf.max_cut_pair(g, 3)
+
+    def test_probe_hint_below_the_index_rejected(self):
+        g = lf.torus_class_geodesic(TREC, TREC.point([0.2, 0.4]), [1, 2])
+        var = lf.VariationSpec(geodesic=g, field=np.array([0.4, 0.1]), s_max=0.2, steps=3)
+        with pytest.raises(lf.ValidationError):
+            lf.variation_minind_profile(var, k_hint=3)
+
+
+T3 = lf.FlatTorus([1.0, 0.8125, 1.375])
+PT = lf.Product([lf.FlatTorus([1.0, 0.75]), lf.FlatTorus([1.25])])
+MIXED = lf.Product([lf.FlatTorus([1.25]), D21])
+TORI = {"T2": TREC, "T3": T3, "PT": PT}
+
+
+@st.composite
+def straight_loops(draw):
+    name = draw(st.sampled_from(["T2", "T3", "PT", "DR", "mixed"]))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    if name in TORI:
+        space = TORI[name]
+        klass = draw(st.lists(st.integers(-3, 3), min_size=space.dim, max_size=space.dim))
+        assume(any(klass))
+        periods = lf.effective_periods(space)
+        return lf.torus_class_geodesic(space, space.point([draw(unit) * a for a in periods]), klass)
+    klass = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+    assume(any(klass))
+    xy = [2.0 * draw(unit), draw(unit)]
+    face = draw(st.sampled_from(["top", "bottom"]))
+    disp = np.array(klass) * D21.cover_periods
+    if name == "DR":
+        space, base = D21, D21.point(xy, face)
+    else:
+        disp = np.concatenate([[1.25 * draw(st.integers(-2, 2))], disp])
+        space, base = MIXED, MIXED.point([1.25 * draw(unit)] + xy, (None, face))
+    length = float(np.linalg.norm(disp))
+    try:
+        return lf.segment_loop_geodesic(space, base, disp / length, length)
+    except lf.GeometryError:  # through a cone point
+        assume(False)
+
+
+class TestAgainstDenseReference:
+    @given(straight_loops(), st.integers(2, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_predicates_match_dense_sampling(self, g, k):
+        index = lf.minimizing_index(g)
+        for kk in {k, index, index - 1} if index <= 40 else {k}:
+            if kk < 2:
+                continue
+            margin, cut, gap = dense_loop_arcs(g, kk)
+            assume(margin > -1e-12 or margin < -1e-6)  # no float edge
+            assert lf.is_k_geodesic(g, kk) == (margin >= -1e-9)
+            if margin < -1e-6:
+                with pytest.raises(lf.ValidationError):
+                    lf.max_cut_pair(g, kk)
+                continue
+            assume(gap < 1e-12 or gap > 1e-6)
+            assert lf.is_openly_k_geodesic(g, kk) == (cut is None)
+            found = lf.max_cut_pair(g, kk)
+            assert (found is None) == (cut is None)
+            if cut == 0.0:
+                assert found.t == 0.0
+        if index <= 40:
+            assert dense_loop_arcs(g, index)[0] >= -1e-9
+            if index > 2:
+                assert dense_loop_arcs(g, index - 1)[0] < -1e-9
 
 
 class TestSerialization:

@@ -204,17 +204,6 @@ class TestDoubledRectangle:
         assert bottom.face == "top"
         assert D21.distance(top, bottom) == 0.0
 
-    def test_min_count_batch_matches_scalar(self):
-        pts = [(0.3, 0.4, "top"), (1.7, 0.2, "bottom"), (0.5, 0.5, "bottom"), (1.0, 0.9, "bottom")]
-        A = np.array([[0.5, 0.5]] * len(pts))
-        fa = np.array([False] * len(pts))
-        B = np.array([[x, y] for x, y, _ in pts])
-        fb = np.array([f == "bottom" for _, _, f in pts])
-        counts = D21.min_count_batch(A, fa, B, fb, 1e-9)
-        for i, (x, y, f) in enumerate(pts):
-            scalar = len(D21.minimizing_geodesics(D21.point([0.5, 0.5], "top"), D21.point([x, y], f)))
-            assert counts[i] == scalar
-
 
 class TestProduct:
     def test_distance_is_euclidean_combination(self, rng):
