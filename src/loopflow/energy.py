@@ -28,6 +28,9 @@ from .spaces import DEFAULT_TOL, MinGeodesic, Point, Space, Tangent
 
 COMPONENT_DEDUP_TOL = 1e-12
 MAX_CANDIDATE_TUPLES = 10**6
+# cap on k * n for ``hessian_index_nullity``: eigh of the largest matrix
+# takes well under a second
+MAX_HESSIAN_DIM = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,52 +391,51 @@ class HessianReport:
 def hessian_index_nullity(
     x: Configuration,
     zero_tol: float = 1e-6,
-    step: float = 1e-4,
     tol: float = DEFAULT_TOL,
 ) -> HessianReport:
-    """Index and nullity of the energy Hessian by central finite differences.
+    """Index and nullity of the energy Hessian at a smooth critical point.
 
     Requires a smooth critical point: every consecutive pair has a unique
-    minimizing geodesic (with margin well above the probe step) and the
-    gradient-like vector vanishes.  The degeneracy flag reports whether the
-    null space contains a direction perpendicular to the loop velocity at
-    every configuration point, which excludes the rotational null direction.
+    minimizing geodesic within ``tol`` and the candidate gradient of that
+    chain vanishes within ``zero_tol``.  Near such a point the energy is
+    exactly ``k sum_i |T_i u_{i+1} - u_i + c_i|^2`` in the chart
+    perturbations u_i, with c_i the lifted segment and T_i its
+    ``Space.transport``, so the Hessian is ``2k sum_i B_i^T B_i`` for the
+    block row ``B_i = (-I at i, T_i at i+1)``.  It is assembled in O(k n^2)
+    and diagonalized by ``eigh``; k n above ``MAX_HESSIAN_DIM`` raises
+    ``ResourceLimitError``.  The degeneracy flag reports whether the null
+    space contains a direction perpendicular to the loop velocity at every
+    configuration point, which excludes the rotational null direction.
     """
-    seglists = segment_geodesics(x, max(tol, 4.0 * step))
+    n = x.space.dim
+    k = x.k
+    dim = k * n
+    if dim > MAX_HESSIAN_DIM:
+        raise ResourceLimitError(
+            f"Hessian dimension k*n = {dim} exceeds MAX_HESSIAN_DIM = {MAX_HESSIAN_DIM}"
+        )
+    seglists = segment_geodesics(x, tol)
     for i, segs in enumerate(seglists):
         if len(segs) != 1:
             raise NotSmoothCriticalError(
-                f"segment {i} has {len(segs)} minimizing geodesics within the probe margin"
+                f"segment {i} has {len(segs)} minimizing geodesics within tol"
             )
-    g = gradient_like(x, tol)
+    chain = tuple(segs[0] for segs in seglists)
+    g = _candidate(x, chain)
     if g.magnitude > zero_tol:
         raise NotSmoothCriticalError(
             f"gradient-like magnitude {g.magnitude:.3e} exceeds zero_tol {zero_tol:.3e}"
         )
 
-    n = x.space.dim
-    k = x.k
-    dim = k * n
-
-    def f(u: np.ndarray) -> float:
-        vecs = u.reshape(k, n)
-        return uniform_energy(exp_config(x, ConfigTangent(tuple(vecs)), 1.0))
-
-    e = np.eye(dim)
-    f0 = f(np.zeros(dim))
-    hess = np.zeros((dim, dim))
-    for i in range(dim):
-        hess[i, i] = (f(step * e[i]) - 2.0 * f0 + f(-step * e[i])) / (step * step)
-        for j in range(i + 1, dim):
-            val = (
-                f(step * (e[i] + e[j]))
-                - f(step * (e[i] - e[j]))
-                - f(step * (e[j] - e[i]))
-                + f(-step * (e[i] + e[j]))
-            ) / (4.0 * step * step)
-            hess[i, j] = val
-            hess[j, i] = val
-    hess = 0.5 * (hess + hess.T)
+    hess = np.zeros((k, n, k, n))
+    for i, seg in enumerate(chain):
+        j = (i + 1) % k
+        t = x.space.transport(x.points[i], x.points[j], seg.lift)
+        # -= accumulates, so at k = 2 both segments land in the same blocks
+        hess[i, :, j, :] -= t
+        hess[j, :, i, :] -= t.T
+    # every block row meets two segments and T is orthogonal: diagonal 2I
+    hess = 2.0 * k * (2.0 * np.eye(dim) + hess.reshape(dim, dim))
     eigvals, eigvecs = np.linalg.eigh(hess)
 
     index = int(np.sum(eigvals < -zero_tol))
@@ -445,8 +447,8 @@ def hessian_index_nullity(
         null_basis = eigvecs[:, null_mask]
         # velocity of the associated loop at each point: the unique chain
         directions = np.zeros((k, dim))
-        for i, segs in enumerate(seglists):
-            directions[i, i * n : (i + 1) * n] = segs[0].v0
+        for i, seg in enumerate(chain):
+            directions[i, i * n : (i + 1) * n] = seg.v0
         constrained = directions @ null_basis
         rank = np.linalg.matrix_rank(constrained, tol=1e-8)
         degenerate = bool(nullity - rank > 0)

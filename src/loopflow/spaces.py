@@ -145,6 +145,18 @@ class Space:
         length L) and returns to it with the same velocity.  O(1) in k."""
         raise NotImplementedError
 
+    def transport(self, p: Point, q: Point, lift) -> np.ndarray:
+        """Parallel transport from q to p along the segment with ``lift``:
+        the (dim, dim) matrix T taking chart vectors at q to chart vectors at
+        p, so ``T @ v1 == v0``.  It comes from the lift and the charts alone,
+        never from the velocities, whose signs are ambiguous on axis-aligned
+        segments."""
+        raise NotImplementedError
+
+    def trivial_lift(self) -> tuple:
+        """The lift of the constant segment from a point to itself."""
+        raise NotImplementedError
+
     # -- flows ---------------------------------------------------------------
 
     def flow(self, tan: Tangent, s: float, carry: tuple = ()):
@@ -265,6 +277,12 @@ class FlatTorus(Space):
         tie = bool(self._flip_ties(delta, length, tol).any())
         minimizing = length >= float(np.linalg.norm(disp)) / k - tol
         return LoopArcs(floor, minimizing, 0.0 if tie else None)
+
+    def transport(self, p, q, lift):
+        return np.eye(self.dim)
+
+    def trivial_lift(self):
+        return (0,) * self.dim
 
     def flow(self, tan: Tangent, s: float, carry: tuple = ()):
         self._check_point(tan.base)
@@ -524,6 +542,15 @@ class DoubledRectangle(Space):
         floor = max(arcs.floor, math.ceil(length / (min(gaps) + tol)))
         return LoopArcs(floor, arcs.minimizing and min(gaps) >= r - tol, min(cuts, default=None))
 
+    def transport(self, p, q, lift):
+        # a chart vector at q is M_q w in the cover; the reflection sheet's
+        # deck transform negates it, and M_p takes it to p's chart
+        sign = -1.0 if lift[0] == 1 else 1.0
+        return sign * self._chart_matrix(p.face) @ self._chart_matrix(q.face)
+
+    def trivial_lift(self):
+        return (0, 0, 0)
+
     # -- flows ----------------------------------------------------------------
 
     def flow(self, tan: Tangent, s: float, carry: tuple = ()):
@@ -627,7 +654,7 @@ class Product(Space):
                     length=0.0,
                     v0=np.zeros(f.dim),
                     v1=np.zeros(f.dim),
-                    lift=self._trivial_lift(f),
+                    lift=f.trivial_lift(),
                 )
                 per_factor.append([trivial])
             else:
@@ -649,13 +676,17 @@ class Product(Space):
         segs.sort(key=lambda s: s.lift)
         return segs
 
-    @staticmethod
-    def _trivial_lift(factor: Space):
-        if isinstance(factor, FlatTorus):
-            return (0,) * factor.dim
-        if isinstance(factor, DoubledRectangle):
-            return (0, 0, 0)
-        return tuple(Product._trivial_lift(f) for f in factor.factors)
+    def transport(self, p, q, lift):
+        # block diagonal; a zero-length factor carries its trivial lift
+        out = np.zeros((self.dim, self.dim))
+        for f, a, b, sub, (lo, hi) in zip(
+            self.factors, self._split_point(p), self._split_point(q), lift, self._offsets
+        ):
+            out[lo:hi, lo:hi] = f.transport(a, b, sub)
+        return out
+
+    def trivial_lift(self):
+        return tuple(f.trivial_lift() for f in self.factors)
 
     def flow(self, tan: Tangent, s: float, carry: tuple = ()):
         self._check_point(tan.base)

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own enumeration and
 closed-form paths: distances come from explicit lattice scans, candidate
 components from raw segment data, and Hessian spectra from the explicit
-circulant quadratic form in the universal cover.  The gradient-like oracles
+circulant quadratic form in the universal cover or from central differences
+of the energy.  The gradient-like oracles
 select from the exhaustive ``candidate_gradients`` listing, which the
 library's transfer-matrix path never calls.
 """
@@ -79,6 +80,48 @@ def circulant_hessian_eigenvalues(k, n):
     for m in range(k):
         vals.extend([2.0 * k * (2.0 - 2.0 * math.cos(2.0 * math.pi * m / k))] * n)
     return sorted(vals)
+
+
+def finite_difference_hessian(x, zero_tol=1e-6, step=1e-4, tol=1e-9):
+    """The energy Hessian by central differences of ``uniform_energy`` along
+    ``exp_config``, O((kn)^2) energy calls, summarized as a ``HessianReport``
+    with the library's index, nullity and degeneracy rules.  The loop
+    velocity for the degeneracy test is each segment's unique minimizer."""
+    n, k = x.space.dim, x.k
+    dim = k * n
+
+    def f(u):
+        return lf.uniform_energy(lf.exp_config(x, lf.ConfigTangent(tuple(u.reshape(k, n))), 1.0))
+
+    e = np.eye(dim)
+    f0 = f(np.zeros(dim))
+    hess = np.zeros((dim, dim))
+    for i in range(dim):
+        hess[i, i] = (f(step * e[i]) - 2.0 * f0 + f(-step * e[i])) / (step * step)
+        for j in range(i + 1, dim):
+            hess[i, j] = hess[j, i] = (
+                f(step * (e[i] + e[j]))
+                - f(step * (e[i] - e[j]))
+                - f(step * (e[j] - e[i]))
+                + f(-step * (e[i] + e[j]))
+            ) / (4.0 * step * step)
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    null_mask = np.abs(eigvals) <= zero_tol
+    nullity = int(null_mask.sum())
+    degenerate = False
+    if nullity:
+        directions = np.zeros((k, dim))
+        for i, segs in enumerate(lf.segment_geodesics(x, tol)):
+            directions[i, i * n : (i + 1) * n] = segs[0].v0
+        rank = np.linalg.matrix_rank(directions @ eigvecs[:, null_mask], tol=1e-8)
+        degenerate = nullity > rank
+    return lf.HessianReport(
+        index=int((eigvals < -zero_tol).sum()),
+        nullity=nullity,
+        eigenvalues=tuple(float(v) for v in eigvals),
+        zero_tol=zero_tol,
+        degenerate=bool(degenerate),
+    )
 
 
 def straight_chain_deviation(seglists):

@@ -6,6 +6,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+from conftest import circulant_hessian_eigenvalues
 
 import loopflow as lf
 
@@ -346,8 +347,9 @@ def test_c10_flow_soundness_corpus():
 
 
 def test_c11_hessian_index_and_nullity():
-    """Smooth critical configurations: index 0, nullity = dimension, and the
-    perpendicular-null degeneracy flag set for dimension >= 2."""
+    """Smooth critical configurations: index 0, nullity = dimension, the
+    perpendicular-null degeneracy flag set for dimension >= 2, and the
+    circulant spectrum to 1e-9."""
     with criterion("C11 Hessian index/nullity at desk scale"):
         cases = [
             (TREC, [1, 0], 3, [0.3, 0.1]),
@@ -361,3 +363,5 @@ def test_c11_hessian_index_and_nullity():
             assert report.index == 0
             assert report.nullity == space.dim
             assert report.degenerate is (space.dim >= 2)
+            want = circulant_hessian_eigenvalues(k, space.dim)
+            assert np.allclose(report.eigenvalues, want, rtol=0, atol=1e-9)

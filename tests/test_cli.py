@@ -217,6 +217,27 @@ class TestRunScenario:
         assert code == 3
         assert "MAX_RESTART_POINTS" in capsys.readouterr().err
 
+    def test_hessian_beyond_the_dimension_cap_exits_3(self, tmp_path, capsys):
+        # central differences on this input ran for hours
+        huge = dict(HESSIAN_LINE, inputs={
+            "points": [{"coords": [i / 600, 0.25], "face": None} for i in range(600)]})
+        started = time.perf_counter()
+        code = run_scenario(write(tmp_path, "huge.json", huge), str(tmp_path / "r.json"))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert "MAX_HESSIAN_DIM" in capsys.readouterr().err
+
+    def test_hessian_straight_loop_at_tight_zero_tol(self, tmp_path):
+        # central differences gave index 2, nullity 0, degenerate false here
+        scenario = dict(HESSIAN_LINE, inputs={
+            "points": [{"coords": [x, 0.2], "face": None} for x in (0.1, 0.35, 0.6, 0.85)],
+            "zero_tol": 1e-10,
+        })
+        out = str(tmp_path / "r.json")
+        assert run_scenario(write(tmp_path, "s.json", scenario), out) == 0
+        report = load(out)["outputs"]
+        assert (report["index"], report["nullity"], report["degenerate"]) == (0, 2, True)
+
     def test_openly_at_huge_k_returns_fast(self, tmp_path):
         # sampling 64 points per arc ran out of memory here
         scenario = {

@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loopflow as lf
-from conftest import brute_extremes, circulant_hessian_eigenvalues, straight_chain_deviation
+from conftest import (
+    brute_extremes,
+    circulant_hessian_eigenvalues,
+    finite_difference_hessian,
+    straight_chain_deviation,
+)
 from loopflow.geodesics import geodesic_to_dict
 
 T11 = lf.FlatTorus([1.0, 1.0])
@@ -18,6 +23,7 @@ TREC = lf.FlatTorus([1.0, 0.75])
 T3 = lf.FlatTorus([1.0, 0.8125, 1.375])
 PT = lf.Product([lf.FlatTorus([1.0, 0.75]), lf.FlatTorus([1.25])])
 D21 = lf.DoubledRectangle(2.0, 1.0)
+MIXED = lf.Product([lf.FlatTorus([1.25]), D21])
 
 
 def evenly_spaced(space, klass, k, base):
@@ -419,14 +425,14 @@ class TestHessian:
         assert rep.index == 0
         assert rep.nullity == 2
         assert rep.degenerate is True
-        assert np.allclose(rep.eigenvalues, circulant_hessian_eigenvalues(3, 2), atol=1e-4)
+        assert np.allclose(rep.eigenvalues, circulant_hessian_eigenvalues(3, 2), rtol=0, atol=1e-9)
 
     def test_torus3_nullity_matches_dimension(self):
         T3 = lf.FlatTorus([1.0, 0.8125, 1.375])
         x = evenly_spaced(T3, [1, 0, 0], 3, [0.1, 0.2, 0.3])
         rep = lf.hessian_index_nullity(x)
         assert (rep.index, rep.nullity, rep.degenerate) == (0, 3, True)
-        assert np.allclose(rep.eigenvalues, circulant_hessian_eigenvalues(3, 3), atol=1e-4)
+        assert np.allclose(rep.eigenvalues, circulant_hessian_eigenvalues(3, 3), rtol=0, atol=1e-9)
 
     def test_circle_factor_not_degenerate(self):
         T1 = lf.FlatTorus([1.0])
@@ -442,6 +448,91 @@ class TestHessian:
     def test_cut_configuration_rejected(self):
         with pytest.raises(lf.NotSmoothCriticalError):
             lf.hessian_index_nullity(example_square_config())
+
+
+def sampled_loop(g, k):
+    return lf.Configuration(g.space, tuple(lf.point_at(g, 2 * math.pi * i / k) for i in range(k)))
+
+
+def reflection_loop_config():
+    """The (1, 1) loop of the doubled 2x1 rectangle at 10 points: it crosses
+    the vertical edges, so two of its segments lie on the reflection sheet."""
+    disp = np.array([1.0, 1.0]) * D21.cover_periods
+    length = float(np.linalg.norm(disp))
+    g = lf.segment_loop_geodesic(D21, D21.point([0.3, 0.45], "top"), disp / length, length)
+    return sampled_loop(g, 10)
+
+
+@st.composite
+def smooth_straight_configs(draw):
+    """A straight closed loop sampled at one or two points more than its
+    minimizing index, so every segment has one minimizer."""
+    name = draw(st.sampled_from(["T2", "T3", "PT", "DR", "mixed"]))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    if name in ("T2", "T3", "PT"):
+        space = {"T2": TREC, "T3": T3, "PT": PT}[name]
+        klass = draw(st.lists(st.integers(-2, 2), min_size=space.dim, max_size=space.dim))
+        assume(any(klass))
+        periods = lf.effective_periods(space)
+        base = space.point([draw(unit) * a for a in periods])
+        g = lf.torus_class_geodesic(space, base, klass)
+    else:
+        klass = draw(st.lists(st.integers(-1, 1), min_size=2, max_size=2))
+        assume(any(klass))
+        xy = [2.0 * draw(unit), draw(unit)]
+        face = draw(st.sampled_from(["top", "bottom"]))
+        disp = np.array(klass) * D21.cover_periods
+        if name == "DR":
+            space, base = D21, D21.point(xy, face)
+        else:
+            disp = np.concatenate([[1.25 * draw(st.integers(-1, 1))], disp])
+            space, base = MIXED, MIXED.point([1.25 * draw(unit)] + xy, (None, face))
+        length = float(np.linalg.norm(disp))
+        try:
+            g = lf.segment_loop_geodesic(space, base, disp / length, length)
+        except lf.GeometryError:  # through a cone point
+            assume(False)
+    k = lf.minimizing_index(g) + draw(st.integers(1, 2))
+    assume(k * space.dim <= 20)
+    return sampled_loop(g, k)
+
+
+class TestExactHessian:
+    """The closed-form block Hessian against central differences of the
+    energy.  The differences use a step of 1e-3: the energy is exactly
+    quadratic while every segment keeps its minimizer, so the wider step
+    loses nothing and cuts their rounding 100-fold.  At 1e-4 that rounding
+    (about 1e-7 here) is above the 1e-8 rank tolerance of the degeneracy
+    test, which then misreads some doubled-rectangle loops."""
+
+    @given(smooth_straight_configs())
+    @example(reflection_loop_config())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_finite_differences(self, x):
+        try:
+            exact = lf.hessian_index_nullity(x)
+        except (lf.NotSmoothCriticalError, lf.DegenerateTrajectoryError):
+            assume(False)
+        fd = finite_difference_hessian(x, step=1e-3)
+        assert (exact.index, exact.nullity, exact.degenerate) == (
+            fd.index, fd.nullity, fd.degenerate)
+        assert np.allclose(exact.eigenvalues, fd.eigenvalues, rtol=0, atol=1e-4)
+
+    def test_reflection_sheet_loop(self):
+        x = reflection_loop_config()
+        sheets = [segs[0].lift[0] for segs in lf.segment_geodesics(x)]
+        assert sheets.count(1) == 2
+        rep = lf.hessian_index_nullity(x)
+        # the translation along the loop and the parallel normal field
+        assert (rep.index, rep.nullity, rep.degenerate) == (0, 2, True)
+
+    def test_straight_loop_at_tight_zero_tol(self):
+        # central differences put the two null eigenvalues at -5.55e-9,
+        # which read as index 2, nullity 0 at this tolerance
+        x = lf.configuration(TREC, [(0.1, 0.2), (0.35, 0.2), (0.6, 0.2), (0.85, 0.2)])
+        rep = lf.hessian_index_nullity(x, zero_tol=1e-10)
+        assert (rep.index, rep.nullity, rep.degenerate) == (0, 2, True)
+        assert np.allclose(rep.eigenvalues, circulant_hessian_eigenvalues(4, 2), rtol=0, atol=1e-9)
 
 
 class TestSerialization:

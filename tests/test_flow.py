@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loopflow as lf
@@ -186,6 +186,31 @@ class TestRestartStep:
         g = lf.torus_class_geodesic(torus, torus.point([0.1, 0.2]), [10**6, 1])
         with pytest.raises(lf.ResourceLimitError, match="MAX_RESTART_POINTS"):
             lf.restart_step(g)
+
+
+@st.composite
+def torus_class_loops(draw):
+    """A closed geodesic of a nonzero class with max |entry| <= 8 on the
+    2-torus and <= 4 on the 3-torus, from a random base point."""
+    space, bound = draw(st.sampled_from([(TREC, 8), (T3, 4)]))
+    klass = draw(st.lists(st.integers(-bound, bound), min_size=space.dim, max_size=space.dim))
+    assume(any(klass))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    base = space.point([draw(unit) * a for a in space.periods])
+    return lf.torus_class_geodesic(space, base, klass)
+
+
+class TestRestartNeverWorsens:
+    """The source paper's flow property: on flat tori a restart never raises
+    the minimizing index."""
+
+    @given(torus_class_loops())
+    @settings(max_examples=60, deadline=None)
+    def test_after_index_at_most_before(self, g):
+        report = lf.restart_step(g)
+        assert report.status in ("improved", "unchanged", "collapsed")
+        if report.after_minind is not None:
+            assert report.after_minind <= report.before_minind
 
 
 class TestRestartUntilStable:

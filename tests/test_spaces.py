@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loopflow as lf
@@ -205,6 +205,35 @@ class TestDoubledRectangle:
         assert D21.distance(top, bottom) == 0.0
 
 
+    @given(
+        px=st.floats(0.05, 1.95),
+        py=st.floats(0.05, 0.95),
+        qx=st.floats(0.05, 1.95),
+        qy=st.floats(0.05, 0.95),
+        pf=st.booleans(),
+        qf=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_transport_carries_v1_to_v0(self, px, py, qx, qy, pf, qf):
+        faces = {True: "bottom", False: "top"}
+        p = D21.point([px, py], faces[pf])
+        q = D21.point([qx, qy], faces[qf])
+        assume(D21.distance(p, q) > 0.0)
+        for seg in D21.minimizing_geodesics(p, q, allow_degenerate=True):
+            t = D21.transport(p, q, seg.lift)
+            assert np.array_equal(t @ t.T, np.eye(2))
+            assert np.allclose(t @ seg.v1, seg.v0, rtol=0, atol=1e-12)
+
+    def test_transport_across_the_bottom_edge(self):
+        # v0 = (0, -1) and v1 = (0, 1): both diag(1, -1) and -I carry v1 to
+        # v0, and only the faces say which one the segment does
+        p = D21.point([0.5, 0.1], "top")
+        q = D21.point([0.5, 0.1], "bottom")
+        (seg,) = D21.minimizing_geodesics(p, q)
+        assert seg.lift[0] == 0
+        assert np.array_equal(D21.transport(p, q, seg.lift), np.diag([1.0, -1.0]))
+
+
 class TestProduct:
     def test_distance_is_euclidean_combination(self, rng):
         TA, TB = lf.FlatTorus([1.0, 0.8]), lf.FlatTorus([1.2])
@@ -250,6 +279,16 @@ class TestProduct:
         assert P.distance(p, q) == pytest.approx(
             flat.distance(flat.point([0.1, 0.2, 0.3]), flat.point([0.4, 0.1, 1.1])), abs=1e-12
         )
+
+
+    def test_zero_length_factor_takes_the_trivial_lift(self):
+        P = lf.Product([lf.Product([lf.FlatTorus([1.0]), D21]), lf.FlatTorus([2.0])])
+        assert P.trivial_lift() == (((0,), (0, 0, 0)), (0,))
+        p = P.point([0.1, 0.5, 0.5, 0.3], ((None, "bottom"), None))
+        q = P.point([0.1, 0.5, 0.5, 1.1], ((None, "bottom"), None))
+        (seg,) = P.minimizing_geodesics(p, q)
+        assert seg.lift[0] == P.factors[0].trivial_lift()
+        assert np.array_equal(P.transport(p, q, seg.lift), np.eye(4))
 
 
 KERNEL_SPACES = [
