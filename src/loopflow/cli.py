@@ -27,22 +27,25 @@ from .energy import (
     candidate_to_dict,
     dplus_distance,
     dplus_uniform_energy,
+    energy_of_lengths,
     gradient_like,
     gradient_like_all,
     hessian_index_nullity,
-    loop_energy,
-    uniform_energy,
+    segment_distances,
 )
-from .errors import GeometryError, ValidationError
-from .flow import (
-    FLOW_PARAM_RULES,
+from .errors import (
     NONNEGATIVE,
     POSITIVE,
+    GeometryError,
+    ValidationError,
+    check_rule,
+    count_rule,
+)
+from .flow import (
+    FLOW_PARAM_RULES,
     FlowParams,
     FlowTrace,
     birkhoff_shorten,
-    check_rule,
-    count_rule,
     descend,
     restart_step,
     restart_until_stable,
@@ -154,7 +157,8 @@ def _config_from_inputs(space, inputs: dict, where: str) -> Configuration:
     pts = _require(inputs, "points", where)
     if not isinstance(pts, list) or len(pts) < 2:
         raise ValidationError(f"{where}.points: expected a list of at least two points")
-    return Configuration(space, tuple(point_from_dict(space, p) for p in pts))
+    return Configuration(space, tuple(point_from_dict(space, p, f"{where}.points[{i}]")
+                                      for i, p in enumerate(pts)))
 
 
 def _curve_samples(geod, count: int = 256) -> list[dict]:
@@ -168,8 +172,8 @@ def _curve_samples(geod, count: int = 256) -> list[dict]:
 
 
 def _run_dist(space, inputs, params, seed):
-    p = point_from_dict(space, _require(inputs, "p", "inputs"))
-    q = point_from_dict(space, _require(inputs, "q", "inputs"))
+    p = point_from_dict(space, _require(inputs, "p", "inputs"), "inputs.p")
+    q = point_from_dict(space, _require(inputs, "q", "inputs"), "inputs.q")
     segs = space.minimizing_geodesics(p, q, float(params["tol"]))
     return {
         "distance": space.distance(p, q),
@@ -188,8 +192,8 @@ def _run_dist(space, inputs, params, seed):
 
 
 def _run_dplus(space, inputs, params, seed):
-    p = point_from_dict(space, _require(inputs, "p", "inputs"))
-    q = point_from_dict(space, _require(inputs, "q", "inputs"))
+    p = point_from_dict(space, _require(inputs, "p", "inputs"), "inputs.p")
+    q = point_from_dict(space, _require(inputs, "q", "inputs"), "inputs.q")
     v = np.asarray(_require(inputs, "v", "inputs"), dtype=float)
     w = np.asarray(_require(inputs, "w", "inputs"), dtype=float)
     return {"dplus": dplus_distance(space, p, q, v, w, float(params["tol"]))}
@@ -197,8 +201,9 @@ def _run_dplus(space, inputs, params, seed):
 
 def _run_energy(space, inputs, params, seed):
     x = _config_from_inputs(space, inputs, "inputs")
-    diag = loop_energy(x)
-    out = {"uniform_energy": uniform_energy(x), "loop_energy": diag.energy, "loop_length": diag.length}
+    ds = segment_distances(x)
+    energy = energy_of_lengths(ds)
+    out = {"uniform_energy": energy, "loop_energy": energy, "loop_length": sum(ds)}
     if "tangent" in inputs:
         v = ConfigTangent.of(x, inputs["tangent"])
         out["dplus"] = dplus_uniform_energy(x, v, float(params["tol"]))
@@ -222,7 +227,7 @@ def _run_gradlike(space, inputs, params, seed):
 
 
 def _run_minind(space, inputs, params, seed):
-    geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space)
+    geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space, "inputs.geodesic")
     out = {
         "minind": minimizing_index(geod, float(params["tol"])),
         "length": geod.length,
@@ -234,7 +239,7 @@ def _run_minind(space, inputs, params, seed):
 
 
 def _run_openly(space, inputs, params, seed):
-    geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space)
+    geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space, "inputs.geodesic")
     k = _checked(inputs, "k", "inputs", count_rule(2))
     tol = float(params["tol"])
     is_k = is_k_geodesic(geod, k, tol)
@@ -247,7 +252,8 @@ def _run_openly(space, inputs, params, seed):
 
 def _run_probe(space, inputs, params, seed):
     vdata = _require(inputs, "variation", "inputs")
-    geod = geodesic_from_dict(_require(vdata, "geodesic", "inputs.variation"), space)
+    geod = geodesic_from_dict(_require(vdata, "geodesic", "inputs.variation"), space,
+                              "inputs.variation.geodesic")
     var = VariationSpec(
         geodesic=geod,
         field=np.asarray(_require(vdata, "field", "inputs.variation"), dtype=float),
@@ -307,7 +313,7 @@ def _run_flow(space, inputs, params, seed):
 
 
 def _run_restart(space, inputs, params, seed):
-    geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space)
+    geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space, "inputs.geodesic")
     rounds = _checked(inputs, "rounds", "inputs", count_rule(1), 1)
     fp = _flow_params(params)
     if rounds == 1:
@@ -374,15 +380,19 @@ def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
         raise ValidationError("scenario.seed: expected an integer")
     params = _resolve_params(scenario, overrides)
 
+    if "jobs" in scenario:
+        check_rule(count_rule(1), scenario["jobs"], "scenario.jobs")
+    if overrides.get("jobs") is not None:
+        check_rule(count_rule(1), overrides["jobs"], "params.jobs")
+
     started = time.perf_counter()
     if command == "sweep":
         subs = _require(scenario.get("inputs", {}), "scenarios", "inputs")
         if not isinstance(subs, list) or not subs:
             raise ValidationError("inputs.scenarios: expected a nonempty list")
-        jobs = int(overrides.get("jobs") or scenario.get("jobs", 2) or 2)
+        jobs = overrides.get("jobs") or scenario.get("jobs", 2)
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            sub_reports = list(pool.map(lambda s: execute_scenario(s, overrides), subs))
-        outputs = {"reports": sub_reports}
+            outputs = {"reports": list(pool.map(lambda s: execute_scenario(s, overrides), subs))}
     else:
         space = space_from_dict(_require(scenario, "space", "scenario"))
         inputs = scenario.get("inputs", {})

@@ -116,13 +116,15 @@ def energy_of_lengths(lengths: list[float]) -> float:
     return len(lengths) * sum(d * d for d in lengths)
 
 
-def smooth_gradient(v0: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, float]:
-    """The one candidate gradient of a torus configuration whose segments
-    each have a single minimizer, from the (k, n) initial velocities and the
-    (k,) lengths of ``segment_batch``: components (k, n) and magnitude, bit
-    for bit as ``gradient_like`` gives them (on tori ``v1 == v0``)."""
-    scaled = lengths[:, None] * v0
-    comps = np.roll(scaled, 1, axis=0) - scaled
+def smooth_gradient(
+    v0: np.ndarray, v1: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The one candidate gradient of a configuration whose segments each have
+    a single minimizer, from the (k, n) velocities and the (k,) lengths of
+    ``segment_batch``: components (k, n) and magnitude, bit for bit as
+    ``gradient_like`` gives them."""
+    head = lengths[:, None] * v1
+    comps = np.concatenate((head[-1:], head[:-1])) - lengths[:, None] * v0
     return comps, float(np.linalg.norm(comps.ravel()))
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the rules that validate input."""
+
+import math
+import numbers
 
 
 class GeometryError(Exception):
@@ -40,3 +43,27 @@ class SpaceSupportError(GeometryError):
 
 class ValidationError(Exception):
     """A scenario file or input record violates its schema."""
+
+
+def _real(v) -> bool:
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def count_rule(least: int):
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least,
+            f"an integer >= {least}")
+
+
+# a rule is (predicate, what it asks for)
+POSITIVE = (lambda v: _real(v) and v > 0, "a finite positive number")
+NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a finite number >= 0")
+
+
+def check_rule(rule, value, field: str) -> None:
+    """Raise ``ValidationError`` naming ``field`` unless ``value`` obeys ``rule``."""
+    ok, need = rule
+    if not ok(value):
+        raise ValidationError(f"{field}: expected {need}, got {value!r}")

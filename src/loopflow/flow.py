@@ -10,8 +10,6 @@ the restarted flow never worsens the minimizing index.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -26,9 +24,18 @@ from .energy import (
     gradient_like,
     segment_geodesics,
     smooth_gradient,
-    uniform_energy,
 )
-from .errors import GeometryError, NonGeodesicLimitError, ResourceLimitError, ValidationError
+from .errors import (
+    NONNEGATIVE,
+    POSITIVE,
+    GeometryError,
+    NonGeodesicLimitError,
+    ResourceLimitError,
+    ValidationError,
+    _real,
+    check_rule,
+    count_rule,
+)
 from .geodesics import (
     TWO_PI,
     ClosedGeodesic,
@@ -37,7 +44,7 @@ from .geodesics import (
     minimizing_index,
     point_at,
 )
-from .spaces import DEFAULT_TOL, Point, Tangent, effective_periods, wrap
+from .spaces import DEFAULT_TOL, Tangent, effective_periods
 
 MIN_STEP = 1e-14
 COLLIDE_TOL = 1e-12
@@ -47,21 +54,6 @@ NUDGE = 1e-9
 MAX_RESTART_POINTS = 512
 
 
-def _real(v) -> bool:
-    try:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def count_rule(least: int):
-    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least,
-            f"an integer >= {least}")
-
-
-# a rule is (predicate, what it asks for)
-POSITIVE = (lambda v: _real(v) and v > 0, "a finite number > 0")
-NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a finite number >= 0")
 # what every flow parameter must be; shared by FlowParams and the CLI
 FLOW_PARAM_RULES = {
     "step": POSITIVE,
@@ -73,13 +65,6 @@ FLOW_PARAM_RULES = {
     "record_every": count_rule(1),
     "tol": POSITIVE,
 }
-
-
-def check_rule(rule, value, field: str) -> None:
-    """Raise ``ValidationError`` naming ``field`` unless ``value`` obeys ``rule``."""
-    ok, need = rule
-    if not ok(value):
-        raise ValidationError(f"{field}: expected {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,17 +88,22 @@ class FlowParams:
 @dataclass(frozen=True, eq=False)
 class FlowTrace:
     status: str  # converged | max_iters | error
-    iterates: tuple[Configuration, ...]
     energies: tuple[float, ...]
     grad_norms: tuple[float, ...]
     iterations: int
     nudges: tuple[tuple[int, int], ...]
     record_every: int
     error: str | None = None
+    recorded: tuple = ()  # the recorded ``_Iterate``s
+
+    @cached_property
+    def iterates(self) -> tuple[Configuration, ...]:
+        """The recorded configurations, built when first read."""
+        return tuple(it.config for it in self.recorded)
 
     @property
     def final(self) -> Configuration:
-        return self.iterates[-1]
+        return self.recorded[-1].config
 
 
 def _nudge_collisions(x: Configuration, iteration: int, log: list) -> Configuration:
@@ -155,75 +145,74 @@ def _chord_midpoints(x: Configuration, tol: float) -> list:
 
 
 class _Iterate:
-    """One flow iterate.
+    """One flow iterate: the (k, n) cover rows of its points and their chart
+    frames (``Space._embed``, ``Space._frame``), with the ``segment_batch``
+    kernel of its consecutive pairs.  Its points are built only when
+    ``config`` is read.  Each operation gives the scalar path's bits; one
+    that meets a tie, a collision or a cone takes the scalar path."""
 
-    On torus backends it is a (k, n) coordinate array with the
-    ``segment_batch`` kernel of its consecutive pairs, and its points are
-    built only when ``config`` is read.  On other backends (the doubled
-    rectangle, with its cone points and face charts) ``coords`` is None and
-    every operation takes the scalar path.  Each operation gives the scalar
-    path's bits; one that meets a tie or a collision takes the scalar path.
-    """
-
-    def __init__(self, space, periods, tol, coords=None, config=None):
-        self.space, self.periods, self.tol = space, periods, tol
-        self.coords, self._config = coords, config
-        if coords is not None:
-            self.v0, self.lengths, self.unique = space.segment_batch(
-                coords, np.roll(coords, -1, axis=0), tol
-            )
+    def __init__(self, space, tol, cover, frame, config=None):
+        self.space, self.tol, self._config = space, tol, config
+        self.cover, self.frame = cover, frame
+        self.e0, e1, self.lengths, self.unique = space.segment_batch(
+            cover, np.concatenate((cover[1:], cover[:1])), tol
+        )
+        # chart velocities: v0 at each point, v1 at the next
+        self.v0, self.v1 = self.e0, e1
+        if frame is not None:
+            self.v0, self.v1 = self.e0 * frame, e1 * np.concatenate((frame[1:], frame[:1]))
 
     @classmethod
     def of(cls, x: Configuration, tol: float) -> "_Iterate":
-        periods = effective_periods(x.space)
-        coords = None if periods is None else np.array([p.coords for p in x.points])
-        return cls(x.space, periods, tol, coords, x)
-
-    def _with(self, coords) -> "_Iterate":
-        return _Iterate(self.space, self.periods, self.tol, coords)
+        frames = [x.space._frame(p) for p in x.points]
+        return cls(x.space, tol, np.array([x.space._embed(p) for p in x.points]),
+                   None if frames[0] is None else np.array(frames), x)
 
     @property
     def config(self) -> Configuration:
         if self._config is None:
-            self._config = Configuration(self.space, tuple(map(Point, self.coords)))
+            self._config = Configuration(self.space, self.space.points_batch(self.cover))
         return self._config
 
     @cached_property
     def energy(self) -> float:
-        if self.coords is None:
-            return uniform_energy(self.config)
         return energy_of_lengths(self.lengths.tolist())
 
     def nudged(self, n: int, log: list) -> "_Iterate":
         """The iterate after ``_nudge_collisions``."""
-        if self.coords is not None and (self.lengths > COLLIDE_TOL).all():
+        if (self.lengths > COLLIDE_TOL).all():
             return self
         x = _nudge_collisions(self.config, n, log)
         return self if x is self.config else _Iterate.of(x, self.tol)
 
     def gradient(self) -> tuple[np.ndarray, float]:
         """Components (k, n) and magnitude of the gradient-like vector."""
-        if self.coords is not None and self.unique.all() and self.lengths.all():
-            return smooth_gradient(self.v0, self.lengths)
+        if self.unique.all() and self.lengths.all():
+            return smooth_gradient(self.v0, self.v1, self.lengths)
         g = gradient_like(self.config, self.tol)
         return np.array(g.vecs), g.magnitude
 
     def moved(self, direction: np.ndarray, s: float) -> "_Iterate":
         """Every point moved along its row of ``direction`` for time s."""
-        if self.coords is None:
+        disp = s * direction if self.frame is None else s * direction * self.frame
+        rows = self.space.step_batch(self.cover, disp)
+        if rows is None:
             x = exp_config(self.config, ConfigTangent(tuple(direction)), s)
             return _Iterate.of(x, self.tol)
-        return self._with(wrap(self.coords + s * direction, self.periods))
+        return _Iterate(self.space, self.tol, *rows)
 
     def midpoints(self, rotate: bool = False) -> "_Iterate":
         """``_chord_midpoints``; with ``rotate`` the last midpoint comes first."""
-        if self.coords is None or not self.unique.all():
+        rows = None
+        if self.unique.all() and (self.lengths > COLLIDE_TOL).all():
+            rows = self.space.step_batch(self.cover, (self.lengths / 2.0)[:, None] * self.e0)
+        if rows is None:
             mids = _chord_midpoints(self.config, self.tol)
             mids = mids[-1:] + mids[:-1] if rotate else mids
             return _Iterate.of(Configuration(self.space, tuple(mids)), self.tol)
-        mids = wrap(self.coords + (self.lengths / 2.0)[:, None] * self.v0, self.periods)
-        mids = np.where((self.lengths <= COLLIDE_TOL)[:, None], self.coords, mids)
-        return self._with(np.roll(mids, 1, axis=0) if rotate else mids)
+        if rotate:
+            rows = [None if r is None else np.concatenate((r[-1:], r[:-1])) for r in rows]
+        return _Iterate(self.space, self.tol, *rows)
 
 
 def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
@@ -260,7 +249,7 @@ def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
         rec.append((it, energy, it.gradient()[1]))
     return FlowTrace(
         status=status,
-        iterates=tuple(r[0].config for r in rec),
+        recorded=tuple(r[0] for r in rec),
         energies=tuple(r[1] for r in rec),
         grad_norms=tuple(r[2] for r in rec),
         iterations=n,
@@ -339,11 +328,11 @@ class RestartReport:
     before_minind: int
     configuration: Configuration | None
     direction: CandidateGradient | None
-    perturb_eps: float | None
-    trace: FlowTrace | None
-    after: ClosedGeodesic | None
-    after_minind: int | None
     status: str  # improved | unchanged | collapsed | no_restart | error
+    perturb_eps: float | None = None
+    trace: FlowTrace | None = None
+    after: ClosedGeodesic | None = None
+    after_minind: int | None = None
 
 
 def restart_step(
@@ -374,33 +363,13 @@ def restart_step(
     x = Configuration(g.space, pts)
     grad = gradient_like(x, tol)
     if grad.magnitude <= params.grad_tol:
-        return RestartReport(
-            before=g,
-            before_minind=k,
-            configuration=x,
-            direction=grad,
-            perturb_eps=None,
-            trace=None,
-            after=None,
-            after_minind=None,
-            status="no_restart",
-        )
+        return RestartReport(g, k, x, grad, "no_restart")
     eps = params.perturb_eps if params.perturb_eps is not None else 0.05 * g.space.min_scale()
     unit = ConfigTangent(tuple(-v / grad.magnitude for v in grad.vecs))
     x1 = exp_config(x, unit, eps)
     trace = descend(x1, params)
     if trace.status != "converged":
-        return RestartReport(
-            before=g,
-            before_minind=k,
-            configuration=x,
-            direction=grad,
-            perturb_eps=eps,
-            trace=trace,
-            after=None,
-            after_minind=None,
-            status="error",
-        )
+        return RestartReport(g, k, x, grad, "error", eps, trace)
     limit = trace.final
     classify_tol = max(1e-4, 10.0 * params.grad_tol)
     try:
@@ -409,17 +378,7 @@ def restart_step(
         status = "improved" if after_minind < k else "unchanged"
     except NonGeodesicLimitError:
         after, after_minind, status = None, None, "collapsed"
-    return RestartReport(
-        before=g,
-        before_minind=k,
-        configuration=x,
-        direction=grad,
-        perturb_eps=eps,
-        trace=trace,
-        after=after,
-        after_minind=after_minind,
-        status=status,
-    )
+    return RestartReport(g, k, x, grad, status, eps, trace, after, after_minind)
 
 
 def restart_until_stable(

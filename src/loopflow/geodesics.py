@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClosureError, GeometryError, SpaceSupportError, ValidationError
+from .errors import ClosureError, GeometryError, SpaceSupportError, ValidationError, count_rule
 from .spaces import (
     DEFAULT_TOL,
     Point,
@@ -41,6 +41,9 @@ from .spaces import (
 
 TWO_PI = 2.0 * math.pi
 CLOSURE_TOL = 1e-9
+# largest |entry| of a class a scenario may give: beyond about 1e6 periods a
+# loop point's chart coordinates round by more than the default tie tolerance
+MAX_CLASS_ENTRY = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,18 +369,25 @@ def geodesic_to_dict(g: ClosedGeodesic) -> dict:
     return data
 
 
-def geodesic_from_dict(data: dict, space: Space | None = None) -> ClosedGeodesic:
+def geodesic_from_dict(
+    data: dict, space: Space | None = None, where: str = "geodesic"
+) -> ClosedGeodesic:
     if not isinstance(data, dict) or "kind" not in data:
-        raise ValidationError("geodesic: expected an object with a 'kind' field")
+        raise ValidationError(f"{where}: expected an object with a 'kind' field")
     if space is None:
-        space = space_from_dict(data.get("space", {}))
-    base = point_from_dict(space, data.get("base", {}))
+        space = space_from_dict(data.get("space", {}), f"{where}.space")
+    base = point_from_dict(space, data.get("base", {}), f"{where}.base")
     if data["kind"] == "torus_class":
         if "class" not in data:
-            raise ValidationError("geodesic.class: missing")
-        return torus_class_geodesic(space, base, data["class"])
+            raise ValidationError(f"{where}.class: missing")
+        klass = data["class"]
+        entry = count_rule(-MAX_CLASS_ENTRY)[0]
+        if not isinstance(klass, list) or not all(entry(m) and m <= MAX_CLASS_ENTRY for m in klass):
+            raise ValidationError(f"{where}.class: expected a list of integers of absolute value "
+                                  f"at most {MAX_CLASS_ENTRY}, got {klass!r}")
+        return torus_class_geodesic(space, base, klass)
     if data["kind"] == "segment_loop":
         if "direction" not in data or "length" not in data:
-            raise ValidationError("geodesic.direction / geodesic.length: missing")
+            raise ValidationError(f"{where}.direction / {where}.length: missing")
         return segment_loop_geodesic(space, base, data["direction"], float(data["length"]))
-    raise ValidationError(f"geodesic.kind: unknown variant {data['kind']!r}")
+    raise ValidationError(f"{where}.kind: unknown variant {data['kind']!r}")

@@ -31,11 +31,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    POSITIVE,
     CoincidentPointsError,
     DegenerateTrajectoryError,
     DimensionMismatchError,
     ResourceLimitError,
     ValidationError,
+    _real,
+    check_rule,
 )
 
 DEFAULT_TOL = 1e-9
@@ -177,6 +180,24 @@ class Space:
         """Shortest period-like length; scales default perturbation sizes."""
         raise NotImplementedError
 
+    # -- array step ------------------------------------------------------------
+    # The flows keep a configuration as (k, dim) cover rows (``_embed``) and
+    # their chart frames (``_frame``; None on tori).  Each backend gives ``segment_batch(A,
+    # B, tol) -> (e0, e1, length, unique)``, ``minimizing_geodesics`` of the
+    # rows (A[j], B[j]) in the cover frame where ``unique`` certifies one
+    # minimizer; ``step_batch(C, D)``, the rows and frames that ``flow``
+    # reaches along cover displacements D, or None near a cone; and
+    # ``points_batch``, the points of rows that ``step_batch`` gave.
+
+    def _embed(self, p: Point) -> np.ndarray:
+        """The cover row of a point."""
+        return p.coords
+
+    def _frame(self, p: Point) -> np.ndarray | None:
+        """The diagonal of the point's chart matrix, chart = frame * cover
+        vector; None where every chart matrix is the identity."""
+        return None
+
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -295,11 +316,6 @@ class FlatTorus(Space):
 
     # batch kernels operate on (N, dim) coordinate arrays; faces unused here
 
-    def _nearest(self, A, B) -> np.ndarray:
-        """Displacement of the nearest lift of B[j] from A[j], per row."""
-        delta = B - A
-        return delta - self.periods * np.round(delta / self.periods)
-
     def _flip_ties(self, delta, length, tol) -> np.ndarray:
         """Per coordinate of the nearest-lift displacement ``delta``: does
         flipping it to the far lift give a minimizer within ``tol`` of the
@@ -311,23 +327,30 @@ class FlatTorus(Space):
     def segment_batch(self, A, B, tol: float):
         """Array form of ``minimizing_geodesics`` for the pairs (A[j], B[j]).
 
-        Returns the initial unit velocity ``v0`` (N, dim) and the ``length``
-        (N,) of the nearest lift, bit for bit as the scalar minimizer gives
-        them, and ``unique`` (N,): the pair certainly has no other minimizer
-        within ``tol``.  The certificate is the per-coordinate flip test
-        with a margin wider than ``tol``, so a pair near
-        the threshold is left uncertified rather than misjudged.  Lengths
+        Returns the unit velocity ``v0`` (N, dim), the same array as ``v1``,
+        and the ``length`` (N,) of the nearest lift, bit for bit as the
+        scalar minimizer gives them, and ``unique`` (N,): the pair certainly
+        has no other minimizer within ``tol``.  The certificate is the
+        per-coordinate flip test with a margin wider than ``tol``, so a pair
+        near the threshold is left uncertified rather than misjudged.  Lengths
         use ``np.vecdot``, which adds like ``np.linalg.norm``; ``(D*D).sum``
         rounds differently in some rows.  A pair at distance 0 (coincident,
         or apart by less than the square root of the smallest float) gets a
         non-finite velocity.
         """
-        delta = self._nearest(A, B)
+        delta = B - A
+        delta = delta - self.periods * np.round(delta / self.periods)  # the nearest lift
         length = np.sqrt(np.vecdot(delta, delta))
         with np.errstate(invalid="ignore", divide="ignore"):
             v0 = delta / length[:, None]
         margin = 2.0 * tol + TIE_SLACK * self.periods
-        return v0, length, ~self._flip_ties(delta, length[:, None], margin).any(axis=1)
+        return v0, v0, length, ~self._flip_ties(delta, length[:, None], margin).any(axis=1)
+
+    def step_batch(self, C, D):
+        return wrap(C + D, self.periods), None
+
+    def points_batch(self, C) -> tuple:
+        return tuple(map(Point, C))
 
     def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
         return wrap(base.coords[None, :] + lengths[:, None] * direction[None, :], self.periods), None
@@ -354,6 +377,8 @@ class DoubledRectangle(Space):
         self.b = float(b)
         self.dim = 2
         self.cover_periods = np.array([2.0 * self.a, 2.0 * self.b])
+        self._cover = FlatTorus(self.cover_periods)
+        self._cell = np.array([self.a, self.b])  # the grid of cone lifts
 
     # -- face charts ----------------------------------------------------------
 
@@ -386,17 +411,8 @@ class DoubledRectangle(Space):
         The returned 2x2 matrix maps cover vectors at ``xy`` to chart vectors
         at the reduced point.
         """
-        u = wrap(xy, self.cover_periods)
-        if u[0] > self.a:
-            u = self.cover_periods - u
-            u[1] = u[1] if u[1] < self.cover_periods[1] else 0.0
-        if u[1] > self.b:
-            face = BOTTOM
-            chart = np.array([u[0], 2.0 * self.b - u[1]])
-        else:
-            face = TOP
-            chart = u.copy()
-        pt = self.point(chart, face)
+        (chart,), (bottom,) = self._chart(self._fold(xy[None]))
+        pt = self.point(chart, BOTTOM if bottom else TOP)
         # pick the deck transform (translation or point reflection) that maps
         # the canonical embedding onto xy; it determines how vectors project
         emb = self._embed(pt)
@@ -414,46 +430,40 @@ class DoubledRectangle(Space):
 
     # -- cone points ----------------------------------------------------------
 
-    def _cone_clearance(self, start: np.ndarray, disp: np.ndarray) -> float:
-        """Shortest distance from the open segment start..start+disp to a cone lift."""
-        length = float(np.linalg.norm(disp))
-        if length == 0.0:
-            return math.inf
+    def _near_cone(self, start: np.ndarray, disp: np.ndarray, within: float) -> np.ndarray:
+        """Per row of the (N, 2) arrays: does the open segment start..start+disp
+        pass within ``within`` of a cone lift (i a, j b) whose foot lies
+        inside it by more than CONE_TOL?  Such a cone lies in the segment's
+        bounding box grown by ``within``; one numpy pass scans the widest
+        row's box, in chunks so that a long segment needs bounded memory."""
         end = start + disp
-        lo = np.minimum(start, end)
-        hi = np.maximum(start, end)
-        i0 = math.floor(lo[0] / self.a) - 1
-        i1 = math.ceil(hi[0] / self.a) + 1
-        j0 = math.floor(lo[1] / self.b) - 1
-        j1 = math.ceil(hi[1] / self.b) + 1
-        best = math.inf
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                cone = np.array([i * self.a, j * self.b])
-                t = float(np.dot(cone - start, disp)) / (length * length)
+        lo = np.ceil((np.fmin(start, end) - within) / self._cell)
+        hi = np.floor((np.fmax(start, end) + within) / self._cell)
+        nx, ny = (hi + 1.0 - lo).max(axis=0).astype(int)
+        near = np.zeros(len(start), dtype=bool)
+        if nx <= 0 or ny <= 0:
+            return near
+        (sx, sy), (dx, dy) = start.T[:, :, None], disp.T[:, :, None]
+        length = np.sqrt(np.vecdot(disp, disp))[:, None]
+        chunk = max(1, 2**16 // len(start))
+        for first in range(0, nx * ny, chunk):
+            i, j = np.divmod(np.arange(first, min(first + chunk, nx * ny)), ny)
+            cx, cy = (lo[:, :1] + i) * self.a, (lo[:, 1:] + j) * self.b
+            with np.errstate(invalid="ignore", divide="ignore"):
+                t = ((cx - sx) * dx + (cy - sy) * dy) / (length * length)
                 # interior only: cone points may sit at segment endpoints
-                if t * length <= CONE_TOL or (1.0 - t) * length <= CONE_TOL:
-                    continue
-                dist = float(np.linalg.norm(start + t * disp - cone))
-                best = min(best, dist)
-        return best
+                inside = (t * length > CONE_TOL) & ((1.0 - t) * length > CONE_TOL)
+                dist = np.hypot(sx + t * dx - cx, sy + t * dy - cy)
+            near |= (inside & (dist < within)).any(axis=1)
+        return near
 
     # -- metric ---------------------------------------------------------------
-
-    def _sheet_deltas(self, p: Point, q: Point):
-        pc = self._embed(p)
-        qc = self._embed(q)
-        return pc, (qc - pc, -qc - pc)
 
     def distance(self, p: Point, q: Point) -> float:
         self._check_point(p)
         self._check_point(q)
-        _, deltas = self._sheet_deltas(p, q)
-        best = math.inf
-        for delta in deltas:
-            red = delta - self.cover_periods * np.round(delta / self.cover_periods)
-            best = min(best, float(np.linalg.norm(red)))
-        return best
+        pc, qc = Point(self._embed(p)), self._embed(q)
+        return min(self._cover.distance(pc, Point(qc)), self._cover.distance(pc, Point(-qc)))
 
     def minimizing_geodesics(self, p, q, tol=DEFAULT_TOL, allow_degenerate=False):
         self._check_point(p)
@@ -461,22 +471,23 @@ class DoubledRectangle(Space):
         _raise_if_equal(p, q)
         if self.distance(p, q) == 0.0:
             raise CoincidentPointsError("points are identified in the quotient")
-        pc, deltas = self._sheet_deltas(p, q)
+        pc, qc = self._embed(p), self._embed(q)
+        deltas = (qc - pc, -qc - pc)
         reach = self.distance(p, q) + tol
         found = []
         for sheet, delta in enumerate(deltas):
             for lam, disp, length in _enumerate_lifts(delta, self.cover_periods, reach):
                 found.append((sheet, lam, disp, length))
         dmin = min(f[3] for f in found)
+        found = [f for f in sorted(found, key=lambda t: (t[0], t[1])) if f[3] <= dmin + tol]
+        disps = np.array([f[2] for f in found])
+        near = self._near_cone(np.broadcast_to(pc, disps.shape), disps, CONE_TOL)
         mat_p = self._chart_matrix(p.face)
         segs = []
-        for sheet, lam, disp, length in sorted(found, key=lambda t: (t[0], t[1])):
-            if length > dmin + tol:
-                continue
+        for (sheet, lam, disp, length), degenerate in zip(found, near):
             e = disp / length
             v0 = mat_p @ e
             v1 = self._chart_matrix(q.face) @ (e if sheet == 0 else -e)
-            degenerate = self._cone_clearance(pc, disp) < CONE_TOL
             seg = MinGeodesic(
                 length=length,
                 v0=v0,
@@ -513,7 +524,7 @@ class DoubledRectangle(Space):
     def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
         c = self._embed(base)
         cover = self._chart_matrix(base.face) @ disp
-        arcs = FlatTorus(self.cover_periods).loop_arcs(base, cover, k, tol)
+        arcs = self._cover.loop_arcs(base, cover, k, tol)
         # The reflection lift lam of the pair at s has length |lam - 2c -
         # (2s + r) e|; as s runs round the loop it sweeps the line through 2c
         # along e, so its minimum |<lam - 2c, nu>| is the same at every k.
@@ -559,7 +570,7 @@ class DoubledRectangle(Space):
         start = self._embed(tan.base)
         cover_vec = self._chart_matrix(tan.base.face) @ vec
         disp = s * cover_vec
-        if self._cone_clearance(start, disp) < CONE_TOL:
+        if self._near_cone(start[None], disp[None], CONE_TOL)[0]:
             raise DegenerateTrajectoryError("trajectory passes through a cone point")
         end, transform = self._reduce_cover(start + disp)
         carried = tuple(
@@ -571,19 +582,64 @@ class DoubledRectangle(Space):
     def min_scale(self) -> float:
         return min(self.a, self.b)
 
-    # batch points are (coords (N,2), is_bottom (N,) bool)
+    # -- batches ---------------------------------------------------------------
+    # A cover row with y above b embeds a bottom-face point.
 
-    def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
-        start = self._embed(base)
-        cover_dir = self._chart_matrix(base.face) @ direction
-        pts = start[None, :] + lengths[:, None] * cover_dir[None, :]
-        u = wrap(pts, self.cover_periods)
+    def _fold(self, xy: np.ndarray) -> np.ndarray:
+        """Cover rows (N, 2) moved by the deck group to the lifts of ``point``'s
+        canonical points: into [0, a] x [0, 2b), with boundary points on the
+        top face (a point on a vertical edge at y <= b)."""
+        u = wrap(xy, self.cover_periods)
         flip = u[:, 0] > self.a
         u[flip] = self.cover_periods - u[flip]
         u[:, 1] = np.where(u[:, 1] >= self.cover_periods[1], 0.0, u[:, 1])
+        u = np.maximum(u, 0.0)  # ``point``'s clamp
+        edge = (u[:, 1] > self.b) & ((u[:, 0] == 0.0) | (u[:, 0] == self.a))
+        u[edge, 1] = 2.0 * self.b - u[edge, 1]
+        return u
+
+    def _chart(self, u: np.ndarray):
+        """Folded cover rows -> (chart coords (N, 2), is_bottom (N,)), in place."""
         is_bottom = u[:, 1] > self.b
         u[:, 1] = np.where(is_bottom, 2.0 * self.b - u[:, 1], u[:, 1])
         return u, is_bottom
+
+    def _frame(self, p: Point) -> np.ndarray:
+        return _FLIP if p.face == BOTTOM else np.ones(2)
+
+    def segment_batch(self, A, B, tol: float):
+        """``FlatTorus.segment_batch`` on the cover rows of both sheets, the
+        translation sheet ``B - A`` and the reflection sheet ``-B - A``, and
+        the shorter one per row; ``e1`` is ``-e0`` on the reflection sheet.
+        A row is certified when its sheet's nearest lift is unique, the other
+        sheet is longer by more than the tie margin, and the segment clears
+        every cone by more than 2 CONE_TOL."""
+        n = len(A)
+        e, _, d, u = self._cover.segment_batch(np.concatenate((A, A)), np.concatenate((B, -B)), tol)
+        sheet = d[n:] < d[:n]
+        e = np.where(sheet[:, None], e[n:], e[:n])
+        length = np.where(sheet, d[n:], d[:n])
+        margin = 2.0 * tol + TIE_SLACK * self.cover_periods.max()
+        with np.errstate(invalid="ignore"):  # a coincident pair has no velocity
+            near = self._near_cone(A, e * length[:, None], 2.0 * CONE_TOL)
+        unique = np.where(sheet, u[n:], u[:n]) & (np.abs(d[n:] - d[:n]) > margin) & ~near
+        return e, np.where(sheet[:, None], -e, e), length, unique
+
+    def step_batch(self, C, D):
+        if self._near_cone(C, D, 2.0 * CONE_TOL).any():
+            return None
+        u = self._fold(C + D)
+        return u, np.where(u[:, 1:] > self.b, _FLIP, 1.0)
+
+    def points_batch(self, C) -> tuple:
+        coords, is_bottom = self._chart(C.copy())
+        return tuple(Point(c, BOTTOM if b else TOP) for c, b in zip(coords, is_bottom))
+
+    def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
+        """(chart coords, is_bottom) of the points at ``lengths`` along the line."""
+        start = self._embed(base)
+        cover_dir = self._chart_matrix(base.face) @ direction
+        return self._chart(self._fold(start[None, :] + lengths[:, None] * cover_dir[None, :]))
 
     def to_dict(self) -> dict:
         return {"type": "doubled_rectangle", "a": self.a, "b": self.b}
@@ -605,7 +661,8 @@ class Product(Space):
             off += f.dim
 
     def _split(self, coords: np.ndarray):
-        return [coords[lo:hi] for lo, hi in self._offsets]
+        """Factor slices of a point's coordinates, or columns of (N, dim) rows."""
+        return [coords[..., lo:hi] for lo, hi in self._offsets]
 
     def _split_point(self, p: Point) -> list[Point]:
         faces = p.face if isinstance(p.face, tuple) else (None,) * len(self.factors)
@@ -724,17 +781,46 @@ class Product(Space):
     def min_scale(self) -> float:
         return min(f.min_scale() for f in self.factors)
 
+    def _embed(self, p: Point) -> np.ndarray:
+        return np.concatenate([f._embed(q) for f, q in zip(self.factors, self._split_point(p))])
+
+    def _frame(self, p: Point) -> np.ndarray | None:
+        parts = self._split_point(p)
+        return self._join_frames([f._frame(q) for f, q in zip(self.factors, parts)],
+                                 [q.coords for q in parts])
+
+    @staticmethod
+    def _join_frames(frames, rows):
+        """Factor frames side by side, the identity's as ones; None if all are."""
+        if all(fr is None for fr in frames):
+            return None
+        return np.concatenate([np.ones_like(r) if fr is None else fr for fr, r in zip(frames, rows)],
+                              axis=-1)
+
     def segment_batch(self, A, B, tol: float):
-        """``FlatTorus.segment_batch`` for a product of tori, composed from
-        the factors' kernels as ``minimizing_geodesics`` composes theirs."""
-        parts = [f.segment_batch(A[:, lo:hi], B[:, lo:hi], tol)
-                 for f, (lo, hi) in zip(self.factors, self._offsets)]
+        """The factors' ``segment_batch``es, composed as
+        ``minimizing_geodesics`` composes their minimizers."""
+        parts = [f.segment_batch(a, b, tol)
+                 for f, a, b in zip(self.factors, self._split(A), self._split(B))]
+        ds = [d[:, None] for _, _, d, _ in parts]
         # float_power is libm pow, as the scalar ``length ** 2``; ** squares
-        length = np.sqrt(sum(np.float_power(d, 2) for _, d, _ in parts))
+        length = np.sqrt(sum(np.float_power(d, 2) for d in ds))
         with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = [np.where(d[:, None] > 0, d[:, None] * v, 0.0) for v, d, _ in parts]
-            v0 = np.concatenate(scaled, axis=1) / length[:, None]
-        return v0, length, np.logical_and.reduce([u for _, _, u in parts])
+            v0, v1 = (np.concatenate([np.where(d > 0, d * p[i], 0.0) for p, d in zip(parts, ds)],
+                                     axis=1) / length for i in (0, 1))
+        return v0, v1, length[:, 0], np.logical_and.reduce([p[3] for p in parts])
+
+    def step_batch(self, C, D):
+        parts = [f.step_batch(c, d)
+                 for f, c, d in zip(self.factors, self._split(C), self._split(D))]
+        if any(p is None for p in parts):
+            return None
+        rows = [c for c, _ in parts]
+        return np.concatenate(rows, axis=1), self._join_frames([fr for _, fr in parts], rows)
+
+    def points_batch(self, C) -> tuple:
+        cols = [f.points_batch(c) for f, c in zip(self.factors, self._split(C))]
+        return tuple(self._join(list(row)) for row in zip(*cols))
 
     def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
         """Factor ``line_batch``es side by side; faces, when a factor has
@@ -783,24 +869,33 @@ def is_cut_pair(space: Space, p: Point, q: Point, tol: float = DEFAULT_TOL) -> b
 # -- serialization -------------------------------------------------------------
 
 
-def space_from_dict(data: dict) -> Space:
+def space_from_dict(data: dict, where: str = "space") -> Space:
+    """The space of a scenario document; a bad field raises ``ValidationError``
+    naming its path under ``where``."""
     if not isinstance(data, dict) or "type" not in data:
-        raise ValidationError("space: expected an object with a 'type' field")
+        raise ValidationError(f"{where}: expected an object with a 'type' field")
     kind = data["type"]
     if kind == "flat_torus":
         if "periods" not in data:
-            raise ValidationError("space.periods: missing")
-        return FlatTorus(data["periods"])
+            raise ValidationError(f"{where}.periods: missing")
+        periods = data["periods"]
+        if not isinstance(periods, list) or not periods:
+            raise ValidationError(f"{where}.periods: expected a nonempty list")
+        for i, a in enumerate(periods):
+            check_rule(POSITIVE, a, f"{where}.periods[{i}]")
+        return FlatTorus(periods)
     if kind == "doubled_rectangle":
         if "a" not in data or "b" not in data:
-            raise ValidationError("space.a / space.b: missing")
+            raise ValidationError(f"{where}.a / {where}.b: missing")
+        for key in "ab":
+            check_rule(POSITIVE, data[key], f"{where}.{key}")
         return DoubledRectangle(data["a"], data["b"])
     if kind == "product":
         factors = data.get("factors")
         if not isinstance(factors, list):
-            raise ValidationError("space.factors: expected a list")
-        return Product([space_from_dict(f) for f in factors])
-    raise ValidationError(f"space.type: unknown variant {kind!r}")
+            raise ValidationError(f"{where}.factors: expected a list")
+        return Product([space_from_dict(f, f"{where}.factors[{i}]") for i, f in enumerate(factors)])
+    raise ValidationError(f"{where}.type: unknown variant {kind!r}")
 
 
 def point_to_dict(p: Point) -> dict:
@@ -808,9 +903,12 @@ def point_to_dict(p: Point) -> dict:
     return {"coords": [float(c) for c in p.coords], "face": face}
 
 
-def point_from_dict(space: Space, data: dict) -> Point:
+def point_from_dict(space: Space, data: dict, where: str = "point") -> Point:
     if not isinstance(data, dict) or "coords" not in data:
-        raise ValidationError("point: expected an object with 'coords'")
+        raise ValidationError(f"{where}: expected an object with 'coords'")
+    coords = data["coords"]
+    if not isinstance(coords, list) or not all(_real(c) for c in coords):
+        raise ValidationError(f"{where}.coords: expected a list of finite numbers, got {coords!r}")
     face = data.get("face")
     if isinstance(face, list):
         face = tuple(face)

@@ -243,3 +243,12 @@ def dense_loop_arcs(g, k, tol=1e-9, per_arc=64):
     margin = float(np.sqrt(dist2).min()) - g.length / k
     cuts = u[count >= 2]
     return margin, (float(cuts.min()) if cuts.size else None), gap
+
+
+def strip_timing(report):
+    """A report without its ``wall_time_ms`` fields, at every level."""
+    if isinstance(report, dict):
+        return {k: strip_timing(v) for k, v in report.items() if k != "wall_time_ms"}
+    if isinstance(report, list):
+        return [strip_timing(v) for v in report]
+    return report

@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from conftest import strip_timing
 
 from loopflow.cli import emit_plot_data, main, run_scenario
 
@@ -88,14 +89,6 @@ def write(tmp_path, name, data):
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def strip_timing(report):
-    if isinstance(report, dict):
-        return {k: strip_timing(v) for k, v in report.items() if k != "wall_time_ms"}
-    if isinstance(report, list):
-        return [strip_timing(v) for v in report]
-    return report
 
 
 class TestRunScenario:
@@ -297,14 +290,65 @@ class TestRunScenario:
             "schema": 1,
             "command": "sweep",
             "seed": 0,
+            "jobs": 2,
             "inputs": {"scenarios": [MININD_12, FLOW_NOISY]},
         }
         out = str(tmp_path / "r.json")
-        assert run_scenario(write(tmp_path, "s.json", scenario), out, {"jobs": 2}) == 0
+        assert run_scenario(write(tmp_path, "s.json", scenario), out, {"jobs": 3}) == 0
         report = load(out)
+        assert report["params_resolved"]["jobs"] == 3
         subs = report["outputs"]["reports"]
         assert [r["command"] for r in subs] == ["minind", "flow"]
         assert subs[0]["outputs"]["minind"] == 4
+
+    @pytest.mark.parametrize("value", ["abc", 0, -1])
+    @pytest.mark.parametrize("where", ["scenario", "override"])
+    def test_bad_jobs_exits_2(self, tmp_path, capsys, value, where):
+        # "abc" used to end in a ValueError traceback
+        scenario = {"schema": 1, "command": "sweep", "seed": 0,
+                    "inputs": {"scenarios": [MININD_12]}}
+        overrides = {}
+        if where == "scenario":
+            scenario["jobs"] = value
+        else:
+            overrides["jobs"] = value
+        code = run_scenario(write(tmp_path, "s.json", scenario), str(tmp_path / "r.json"),
+                            overrides)
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+
+    def _bad_document_exits_2(self, tmp_path, capsys, doc, path, value):
+        bad = json.loads(json.dumps(doc))
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert run_scenario(write(tmp_path, "bad.json", bad), str(tmp_path / "r.json")) == 2
+        return capsys.readouterr().err
+
+    def test_string_torus_period_exits_2(self, tmp_path, capsys):
+        # used to end in a ValueError traceback
+        err = self._bad_document_exits_2(tmp_path, capsys, MININD_12, ("space", "periods", 0), "x")
+        assert "space.periods[0]" in err
+
+    def test_overflowing_torus_period_exits_2(self, tmp_path, capsys):
+        # 1e400 parses as inf; it used to end in a traceback
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MININD_12).replace("0.75", "1e400"), encoding="utf-8")
+        assert run_scenario(str(path), str(tmp_path / "r.json")) == 2
+        assert "space.periods[1]" in capsys.readouterr().err
+
+    def test_nan_point_coordinate_exits_2(self, tmp_path, capsys):
+        # used to end in a traceback
+        err = self._bad_document_exits_2(
+            tmp_path, capsys, MININD_12, ("inputs", "geodesic", "base", "coords", 1), float("nan"))
+        assert "inputs.geodesic.base.coords" in err
+
+    def test_fractional_class_entry_exits_2(self, tmp_path, capsys):
+        # [1.5, 1] used to be answered as the class (1, 1)
+        err = self._bad_document_exits_2(
+            tmp_path, capsys, MININD_12, ("inputs", "geodesic", "class", 0), 1.5)
+        assert "inputs.geodesic.class" in err
 
 
 class TestPlotData:

@@ -321,10 +321,39 @@ def assert_trace_matches_scalar(trace):
         assert grad == lf.gradient_like(x).magnitude
 
 
+D21 = lf.DoubledRectangle(2.0, 1.0)
+# doubled-rectangle loop families: (base chart point, direction, length).
+# Vertical loops cross the edges y = 0 and y = b on the translation sheet,
+# horizontal ones the edges x = 0 and x = a on the reflection sheet; the
+# diagonal one crosses both, with its cone-free offset u = x - 2y in (0.3, 1.7).
+DR_FAMILIES = {
+    "vertical": lambda u, v: ([0.3 + 1.4 * u, v], [0.0, 1.0], 2.0),
+    "horizontal": lambda u, v: ([2.0 * v, 0.2 + 0.6 * u], [1.0, 0.0], 4.0),
+    "diagonal": lambda u, v: ([(0.3 + 1.4 * u + v) % 2.0, v / 2.0], [2.0, 1.0], math.sqrt(20.0)),
+}
+
+
+def dr_noisy_loop(family, k, u, v, rng, noise):
+    """k evenly spaced points of a doubled-rectangle loop, each moved by ``noise``."""
+    base, direction, length = DR_FAMILIES[family](u, v)
+    g = lf.segment_loop_geodesic(D21, D21.point(base, "top"), direction, length)
+    pts = []
+    for i in range(k):
+        w = rng.standard_normal(2)
+        p = lf.point_at(g, 2 * math.pi * i / k)
+        pts.append(D21.exp_map(lf.Tangent(p, w / np.linalg.norm(w)), noise))
+    return lf.Configuration(D21, tuple(pts))
+
+
+def assert_same_points(x, y):
+    for a, b in zip(x.points, y.points, strict=True):
+        assert np.array_equal(a.coords, b.coords) and a.face == b.face
+
+
 class TestArrayStep:
-    """On tori the flows step a coordinate array; on a tie or a collision an
-    iteration takes the scalar kernels.  Either way the trace is the scalar
-    path's."""
+    """Every backend's flows step a cover array; on a tie, a collision or a
+    cone an iteration takes the scalar kernels.  Either way the trace is the
+    scalar path's."""
 
     PARAMS = lf.FlowParams(max_iters=30)
 
@@ -359,15 +388,40 @@ class TestArrayStep:
         assert_trace_matches_scalar(lf.descend(x0, self.PARAMS))
         assert_trace_matches_scalar(lf.birkhoff_shorten(x0, self.PARAMS))
 
-    def spy(self, monkeypatch):
+    @given(
+        family=st.sampled_from(sorted(DR_FAMILIES)),
+        k=st.integers(4, 12),
+        u=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(0.001, 0.03),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_doubled_rectangle_noisy_loops(self, family, k, u, v, seed, noise):
+        x0 = dr_noisy_loop(family, k, u, v, np.random.default_rng(seed), noise)
+        assert_trace_matches_scalar(lf.descend(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.birkhoff_shorten(x0, self.PARAMS))
+
+    def test_product_with_a_doubled_rectangle_factor(self, rng):
+        space = lf.Product([lf.FlatTorus([1.25]), D21])
+        dr = dr_noisy_loop("horizontal", 8, 0.3, 0.6, rng, 0.02)
+        x0 = lf.Configuration(space, tuple(
+            space.point(np.r_[1.25 * i / 8 + 0.01 * rng.standard_normal(), p.coords], (None, p.face))
+            for i, p in enumerate(dr.points)))
+        for flow in (lf.descend, lf.birkhoff_shorten):
+            trace = flow(x0, self.PARAMS)
+            assert trace.energies[-1] < trace.energies[0]
+            assert_trace_matches_scalar(trace)
+
+    def spy(self, monkeypatch, name="gradient_like"):
         calls = []
-        original = lf.flow.gradient_like
+        original = getattr(lf.flow, name)
 
-        def counting(x, tol=lf.spaces.DEFAULT_TOL):
+        def counting(x, *args):
             calls.append(x)
-            return original(x, tol)
+            return original(x, *args)
 
-        monkeypatch.setattr(lf.flow, "gradient_like", counting)
+        monkeypatch.setattr(lf.flow, name, counting)
         return calls
 
     def test_near_cut_start_falls_back(self, monkeypatch):
@@ -385,11 +439,61 @@ class TestArrayStep:
         assert trace.status == "converged" and trace.iterations > 10
         assert calls == []
 
-    def test_doubled_rectangle_takes_scalar_path(self, monkeypatch):
+    def test_doubled_rectangle_noisy_loop_stays_on_arrays(self, monkeypatch, rng):
         calls = self.spy(monkeypatch)
-        D = lf.DoubledRectangle(2.0, 1.0)
-        x0 = lf.configuration(D, [[0.5, 0.1], [0.55, 0.9], [0.5, 0.5], [0.45, 0.2]],
-                              ["top", "top", "bottom", "bottom"])
-        trace = lf.descend(x0, self.PARAMS)
-        assert len(calls) == len(trace.iterates)
-        assert_trace_matches_scalar(trace)
+        x0 = dr_noisy_loop("horizontal", 8, 0.4, 0.3, rng, 0.02)
+        trace = lf.descend(x0)
+        assert trace.status == "converged" and trace.iterations > 10
+        assert calls == []
+
+    def test_doubled_rectangle_tie_and_cone_fall_back(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        # (0.5, 0.5) on both faces: three tied minimizers, on both sheets
+        tie = lf.configuration(D21, [[0.5, 0.5], [0.5, 0.5]], ["top", "bottom"])
+        # a point 2e-10 from the cone point (2, 1): its segments tie across it
+        cone = lf.configuration(D21, [[2.0 - 1e-10, 1.0 - 2e-10], [1.5, 0.6], [1.0, 0.3]],
+                                ["top", "top", "bottom"])
+        for x0 in (tie, cone):
+            trace = lf.descend(x0, self.PARAMS)
+            assert calls[0] is x0
+            assert trace.energies[-1] < trace.energies[0]
+            assert_trace_matches_scalar(trace)
+            calls.clear()
+
+    def test_move_past_a_cone_takes_the_scalar_step(self, monkeypatch):
+        calls = self.spy(monkeypatch, "exp_config")
+        x = lf.configuration(D21, [[1.9, 0.9], [1.0, 0.5], [0.5, 0.2]], ["top", "top", "top"])
+        it = lf.flow._Iterate.of(x, 1e-9)
+        direction = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(lf.DegenerateTrajectoryError):
+            it.moved(direction, 0.2)  # point 0 runs into the corner (2, 1)
+        assert len(calls) == 1
+        moved = it.moved(direction, 0.05)  # clear of it: the array step
+        assert len(calls) == 1
+        assert_same_points(moved.config, lf.exp_config(x, lf.ConfigTangent(tuple(direction)), 0.05))
+
+    def test_step_onto_a_vertical_edge_lands_on_the_top_face(self):
+        x = lf.configuration(D21, [[0.5, 0.3], [1.5, 0.3], [1.0, 0.6]], ["bottom", "bottom", "top"])
+        direction = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        moved = lf.flow._Iterate.of(x, 1e-9).moved(direction, 0.5)
+        scalar = lf.exp_config(x, lf.ConfigTangent(tuple(direction)), 0.5)
+        assert [p.face for p in scalar.points] == ["top", "top", "top"]
+        assert_same_points(moved.config, scalar)
+
+    def test_collided_pair_keeps_its_point_in_the_midpoint_sweep(self):
+        # 0.3 on the bottom face embeds as 2 - 0.3, which does not fold back to 0.3
+        x = lf.configuration(D21, [[0.3, 0.3], [0.3, 0.3 + 1e-13], [1.0, 0.6]],
+                             ["bottom", "bottom", "top"])
+        mids = lf.flow._Iterate.of(x, 1e-9).midpoints(rotate=True).config
+        scalar = lf.flow._chord_midpoints(x, 1e-9)
+        assert_same_points(mids, lf.Configuration(D21, tuple(scalar[-1:] + scalar[:-1])))
+
+    def test_bottom_point_an_ulp_below_the_edge_keeps_its_chart(self):
+        # its cover row rounds to y = b, which alone would read as the top face
+        y = np.nextafter(1.0, 0.0)
+        x = lf.configuration(D21, [[0.5, y], [1.5, 0.3], [1.0, 0.6]], ["bottom", "top", "top"])
+        direction = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        moved = lf.flow._Iterate.of(x, 1e-9).moved(direction, 0.1)
+        scalar = lf.exp_config(x, lf.ConfigTangent(tuple(direction)), 0.1)
+        assert scalar.points[0].face == "top"
+        assert_same_points(moved.config, scalar)

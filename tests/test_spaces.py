@@ -1,5 +1,6 @@
 """Geometry backend tests: distances, minimizing sets, flows, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -204,6 +205,17 @@ class TestDoubledRectangle:
         assert bottom.face == "top"
         assert D21.distance(top, bottom) == 0.0
 
+    def test_line_batch_puts_edge_points_on_the_top_face(self):
+        # from (0.5, 0.3) on the bottom face along (-1, 0): at 0.5 the line
+        # meets the vertical edge x = 0, which ``point`` puts on the top face
+        base = D21.point([0.5, 0.3], "bottom")
+        lengths = np.array([0.25, 0.5])
+        coords, is_bottom = D21.line_batch(base, np.array([-1.0, 0.0]), lengths)
+        for row, bottom, s in zip(coords, is_bottom, lengths):
+            p = D21.exp_map(D21.tangent(base, [-1.0, 0.0]), s)
+            assert np.array_equal(row, p.coords) and bottom == (p.face == "bottom")
+        assert not is_bottom[1]
+
 
     @given(
         px=st.floats(0.05, 1.95),
@@ -298,28 +310,49 @@ KERNEL_SPACES = [
 ]
 
 
+def cone_gap(space, p, seg):
+    """Distance from the open cover segment of ``seg`` out of p to the
+    nearest cone lift (i a, j b), by a scan of the grid around it."""
+    start = space._embed(p)
+    disp = seg.length * (space._chart_matrix(p.face) @ seg.v0)
+    best = math.inf
+    for i, j in itertools.product(range(-4, 8), repeat=2):
+        cone = np.array([i * space.a, j * space.b])
+        t = float((cone - start) @ disp) / float(disp @ disp)
+        if 0.0 < t < 1.0:
+            best = min(best, float(np.linalg.norm(start + t * disp - cone)))
+    return best
+
+
 class TestSegmentBatch:
-    """The array kernel of the torus flows against ``minimizing_geodesics``:
-    a certified pair has exactly one minimizer within tol, whose ``v0`` and
-    ``length`` the kernel reproduces bit for bit, and an uncertified pair has
-    a second minimizer within the margin (2 tol plus slack); the length is
+    """The array kernels of the flows against ``minimizing_geodesics``: a
+    certified pair has exactly one minimizer within tol, whose ``v0``,
+    ``v1`` (the kernel's cover-frame velocities times the chart frames) and
+    ``length`` the kernel reproduces bit for bit, and an
+    uncertified pair has a second minimizer within the margin (2 tol plus
+    slack) or passes within the cone margin of a cone point; the length is
     the distance always."""
 
-    def check(self, space, A, B):
-        v0, length, unique = space.segment_batch(A, B, 1e-9)
-        for j in range(len(A)):
-            p, q = space.point(A[j]), space.point(B[j])
+    def check(self, space, ps, qs):
+        A = np.array([space._embed(p) for p in ps])
+        B = np.array([space._embed(q) for q in qs])
+        e0, e1, length, unique = space.segment_batch(A, B, 1e-9)
+        for j, (p, q) in enumerate(zip(ps, qs)):
+            v0, v1 = e0[j], e1[j]
+            if isinstance(space, lf.DoubledRectangle):
+                v0, v1 = v0 * space._frame(p), v1 * space._frame(q)
             assert length[j] == space.distance(p, q)
             if length[j] == 0.0:
                 continue
-            segs = space.minimizing_geodesics(p, q, 1e-9)
+            segs = space.minimizing_geodesics(p, q, 1e-9, allow_degenerate=True)
             if unique[j]:
-                assert len(segs) == 1
-            else:
-                assert len(space.minimizing_geodesics(p, q, 3e-9)) >= 2
+                assert len(segs) == 1 and not segs[0].degenerate
+            elif len(space.minimizing_geodesics(p, q, 3e-9, allow_degenerate=True)) < 2:
+                assert cone_gap(space, p, segs[0]) <= 3e-9
             if len(segs) == 1:
                 assert length[j] == segs[0].length
-                assert np.array_equal(v0[j], segs[0].v0)
+                assert np.array_equal(v0, segs[0].v0)
+                assert np.array_equal(v1, segs[0].v1)
         return unique
 
     @given(
@@ -331,9 +364,38 @@ class TestSegmentBatch:
         space = KERNEL_SPACES[which]
         periods = lf.effective_periods(space)
         n = space.dim
-        A = np.array([space.point(np.array(fracs[:n]) * periods).coords])
-        B = np.array([space.point(np.array(fracs[3 : 3 + n]) * periods).coords])
-        self.check(space, A, B)
+        p = space.point(np.array(fracs[:n]) * periods)
+        q = space.point(np.array(fracs[3 : 3 + n]) * periods)
+        self.check(space, [p], [q])
+
+    @given(
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        faces=st.lists(st.sampled_from(["top", "bottom"]), min_size=2, max_size=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_doubled_rectangle_random_pairs(self, fracs, faces):
+        p = D21.point([2.0 * fracs[0], fracs[1]], faces[0])
+        q = D21.point([2.0 * fracs[2], fracs[3]], faces[1])
+        self.check(D21, [p], [q])
+
+    def test_doubled_rectangle_ties_cones_and_sheets(self, rng):
+        offsets = [0.0, 1e-13, 1e-11, 4e-10, 1e-9, 2e-9, 3e-9, 1e-8, 1e-7, 1e-3]
+        ps, qs = [], []
+        for off in offsets:
+            # mirror images across the faces: the sheets tie at off = 0
+            x, y = rng.uniform(0.2, 1.8), rng.uniform(0.2, 0.8)
+            ps.append(D21.point([x, y], "top"))
+            qs.append(D21.point([x, y + off], "bottom"))
+            # a segment across the edge x = 0: the reflection sheet
+            ps.append(D21.point([0.1, 0.4], "top"))
+            qs.append(D21.point([0.2 + off, 0.4], "bottom"))
+            # from next to the cone point (2, 1), on either face
+            for face in ("top", "bottom"):
+                ps.append(D21.point([2.0 - off, 1.0 - 2.0 * off], "top"))
+                qs.append(D21.point([1.5, 0.6], face))
+        unique = self.check(D21, ps, qs).reshape(len(offsets), 4)
+        far = np.array(offsets) >= 1e-7
+        assert unique[:, 1].all() and unique[far].all()
 
     @pytest.mark.parametrize("space", KERNEL_SPACES, ids=["T2", "T3", "product"])
     def test_near_tie_pairs(self, space, rng):
@@ -353,7 +415,7 @@ class TestSegmentBatch:
         rows_a.append(space.point(a).coords)
         rows_b.append(space.point(a + np.r_[0.3, 0.2, 0.0][: space.dim]).coords)
         far.append(True)
-        unique = self.check(space, np.array(rows_a), np.array(rows_b))
+        unique = self.check(space, [space.point(a) for a in rows_a], [space.point(b) for b in rows_b])
         # the margin is narrow: gaps far above tol are certified
         assert unique[np.array(far)].all()
 
