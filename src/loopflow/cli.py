@@ -395,6 +395,11 @@ def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
             outputs = {"reports": list(pool.map(lambda s: execute_scenario(s, overrides), subs))}
     else:
         space = space_from_dict(_require(scenario, "space", "scenario"))
+        # a wider tie tolerance makes lifts a period longer "minimizing"
+        bound = space.min_scale() / 4
+        if not params["tol"] < bound:
+            raise ValidationError(f"params.tol: expected below min_scale/4 = {bound}, "
+                                  f"got {params['tol']!r}")
         inputs = scenario.get("inputs", {})
         if not isinstance(inputs, dict):
             raise ValidationError("inputs: expected an object")

@@ -1,8 +1,12 @@
 """Geometry backends: flat tori, doubled rectangles, and Riemannian products.
 
-Every backend here is a flat quotient with closed-form distance, so the full
-set of minimizing geodesics between two points can be enumerated exactly as
-lattice lifts (plus a point-reflection sheet for the doubled rectangle).
+Every backend here is a flat quotient of a rectangular torus, so the full set
+of minimizing geodesics between two points is a set of lattice lifts, and one
+encoder, ``FlatTorus._lifts``, lists them.  Squared length is a sum over
+coordinates, so each coordinate ranges over its own short set of lifts; the
+box of those sets holds every lift within reach, and MAX_LATTICE_CANDIDATES
+caps it.  The doubled rectangle runs the encoder on both sheets of its cover
+torus: the translation sheet and the point-reflection sheet.
 
 Chart conventions:
 
@@ -44,9 +48,10 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 CONE_TOL = 1e-9
 # absolute slack, per unit of period, added to the doubled tie tolerance when
-# ``segment_batch`` certifies a unique minimizer; far above float rounding
+# ``segment_batch`` certifies a unique minimizer, and to the edges of the lift
+# box of ``FlatTorus._lifts``; far above float rounding
 TIE_SLACK = 1e-12
-# cap on the lattice box enumerated for one minimizing-geodesic query
+# cap on the lift box of one minimizing-geodesic query (per doubled-rectangle sheet)
 MAX_LATTICE_CANDIDATES = 200_000
 
 TOP = "top"
@@ -208,41 +213,11 @@ class Space:
             )
 
 
-def _raise_if_equal(p: Point, q: Point) -> None:
-    if np.array_equal(p.coords, q.coords) and p.face == q.face:
-        raise CoincidentPointsError("minimizing geodesics are undefined for equal points")
-
-
-def _lattice_ranges(delta: np.ndarray, periods: np.ndarray, reach: float) -> list[range]:
-    """Integer ranges lam_i with |delta_i + lam_i * period_i| <= reach."""
-    ranges = []
-    for d, a in zip(delta, periods):
-        lo = math.ceil((-reach - d) / a)
-        hi = math.floor((reach - d) / a)
-        ranges.append(range(lo, hi + 1))
-    return ranges
-
-
 def wrap(coords: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """Coordinates reduced into [0, period) per column."""
     out = coords - periods * np.floor(coords / periods)
     # floor can land exactly on the period for values like -1e-17
     return np.where(out >= periods, out - periods, out)
-
-
-def _enumerate_lifts(delta: np.ndarray, periods: np.ndarray, reach: float):
-    """Yield (lam, displacement, length) for every lattice lift within reach."""
-    ranges = _lattice_ranges(delta, periods, reach)
-    count = 1
-    for r in ranges:
-        count *= max(len(r), 1)
-    if count > MAX_LATTICE_CANDIDATES:
-        raise ResourceLimitError(f"lattice enumeration too large ({count} candidates)")
-    for lam in itertools.product(*ranges):
-        disp = delta + np.asarray(lam, dtype=float) * periods
-        length = float(np.linalg.norm(disp))
-        if length <= reach:
-            yield lam, disp, length
 
 
 class FlatTorus(Space):
@@ -273,19 +248,40 @@ class FlatTorus(Space):
     def minimizing_geodesics(self, p, q, tol=DEFAULT_TOL, allow_degenerate=False):
         self._check_point(p)
         self._check_point(q)
-        _raise_if_equal(p, q)
-        if self.distance(p, q) == 0.0:
+        d = self.distance(p, q)
+        if d == 0.0:
             raise CoincidentPointsError("points coincide within floating precision")
-        delta = q.coords - p.coords
-        reach = self.distance(p, q) + tol
-        found = list(_enumerate_lifts(delta, self.periods, reach))
+        found = list(self._lifts(q.coords - p.coords, d + tol))
         dmin = min(length for _, _, length in found)
-        segs = []
-        for lam, disp, length in sorted(found, key=lambda t: t[0]):
-            if length <= dmin + tol:
-                v = disp / length
-                segs.append(MinGeodesic(length=length, v0=v, v1=v.copy(), lift=lam))
-        return segs
+        return [MinGeodesic(length=length, v0=disp / length, v1=disp / length, lift=lam)
+                for lam, disp, length in found if length <= dmin + tol]
+
+    def _lifts(self, delta: np.ndarray, reach: float):
+        """Yield ``(lam, disp, length)`` for every lattice lift ``disp = delta +
+        lam * periods`` with ``length <= reach``, in the order of ``lam``.
+
+        Squared length is a sum over coordinates, so coordinate i ranges only
+        over the lifts whose square fits in ``reach**2`` less the other
+        coordinates' nearest squares; widened by TIE_SLACK periods against
+        rounding, that box contains the ball.  MAX_LATTICE_CANDIDATES bounds
+        the box."""
+        deltas, periods = delta.tolist(), self.periods.tolist()
+        sq = [(d - a * round(d / a)) ** 2 for d, a in zip(deltas, periods)]
+        total = sum(sq)
+        ranges = []
+        for d, a, s in zip(deltas, periods, sq):
+            # room <= reach; the min keeps it finite where reach**2 overflows
+            room = min(reach, math.sqrt(max(reach * reach - (total - s), s)))
+            ranges.append(range(math.ceil((-room - d) / a - TIE_SLACK),
+                                math.floor((room - d) / a + TIE_SLACK) + 1))
+        count = math.prod(r.stop - r.start for r in ranges)
+        if count > MAX_LATTICE_CANDIDATES:
+            raise ResourceLimitError(f"lattice enumeration too large ({count} candidates)")
+        for lam in itertools.product(*ranges):
+            disp = delta + np.asarray(lam, dtype=float) * self.periods
+            length = float(np.linalg.norm(disp))
+            if length <= reach:
+                yield lam, disp, length
 
     def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
         # every translation lift of every pair at arc L/k is disp/k plus a
@@ -405,29 +401,6 @@ class DoubledRectangle(Space):
     def _chart_matrix(self, face: str) -> np.ndarray:
         return np.eye(2) if face == TOP else np.diag(_FLIP)
 
-    def _reduce_cover(self, xy: np.ndarray):
-        """Covering coordinates -> (canonical Point, chart transform).
-
-        The returned 2x2 matrix maps cover vectors at ``xy`` to chart vectors
-        at the reduced point.
-        """
-        (chart,), (bottom,) = self._chart(self._fold(xy[None]))
-        pt = self.point(chart, BOTTOM if bottom else TOP)
-        # pick the deck transform (translation or point reflection) that maps
-        # the canonical embedding onto xy; it determines how vectors project
-        emb = self._embed(pt)
-        r_plus = self._lattice_residual(xy - emb)
-        r_minus = self._lattice_residual(xy + emb)
-        if r_plus <= r_minus:
-            transform = self._chart_matrix(pt.face)
-        else:
-            transform = -self._chart_matrix(pt.face)
-        return pt, transform
-
-    def _lattice_residual(self, delta: np.ndarray) -> float:
-        red = delta - self.cover_periods * np.round(delta / self.cover_periods)
-        return float(np.linalg.norm(red))
-
     # -- cone points ----------------------------------------------------------
 
     def _near_cone(self, start: np.ndarray, disp: np.ndarray, within: float) -> np.ndarray:
@@ -468,58 +441,29 @@ class DoubledRectangle(Space):
     def minimizing_geodesics(self, p, q, tol=DEFAULT_TOL, allow_degenerate=False):
         self._check_point(p)
         self._check_point(q)
-        _raise_if_equal(p, q)
-        if self.distance(p, q) == 0.0:
+        d = self.distance(p, q)
+        if d == 0.0:
             raise CoincidentPointsError("points are identified in the quotient")
         pc, qc = self._embed(p), self._embed(q)
-        deltas = (qc - pc, -qc - pc)
-        reach = self.distance(p, q) + tol
-        found = []
-        for sheet, delta in enumerate(deltas):
-            for lam, disp, length in _enumerate_lifts(delta, self.cover_periods, reach):
-                found.append((sheet, lam, disp, length))
+        found = [(sheet,) + lift for sheet, delta in enumerate((qc - pc, -qc - pc))
+                 for lift in self._cover._lifts(delta, d + tol)]
         dmin = min(f[3] for f in found)
-        found = [f for f in sorted(found, key=lambda t: (t[0], t[1])) if f[3] <= dmin + tol]
+        found = [f for f in found if f[3] <= dmin + tol]
         disps = np.array([f[2] for f in found])
         near = self._near_cone(np.broadcast_to(pc, disps.shape), disps, CONE_TOL)
-        mat_p = self._chart_matrix(p.face)
-        segs = []
-        for (sheet, lam, disp, length), degenerate in zip(found, near):
-            e = disp / length
-            v0 = mat_p @ e
-            v1 = self._chart_matrix(q.face) @ (e if sheet == 0 else -e)
-            seg = MinGeodesic(
-                length=length,
-                v0=v0,
-                v1=v1,
-                lift=(sheet,) + tuple(lam),
-                degenerate=degenerate,
-            )
-            segs.append(seg)
-        segs = self._dedup(segs)
-        bad = [s for s in segs if s.degenerate]
-        if bad and not allow_degenerate:
+        if near.any() and not allow_degenerate:
             raise DegenerateTrajectoryError(
                 "a minimizing segment passes through a cone point; "
                 "pass allow_degenerate=True to keep it"
             )
+        mat_p, mat_q = self._chart_matrix(p.face), self._chart_matrix(q.face)
+        segs = []
+        for (sheet, lam, disp, length), degenerate in zip(found, near):
+            e = disp / length
+            v1 = mat_q @ (e if sheet == 0 else -e)
+            segs.append(MinGeodesic(length=length, v0=mat_p @ e, v1=v1, lift=(sheet,) + lam,
+                                    degenerate=degenerate))
         return segs
-
-    @staticmethod
-    def _dedup(segs: list[MinGeodesic]) -> list[MinGeodesic]:
-        # distinct lifts can project to one segment when an endpoint is a
-        # cone point; compare geometric signatures
-        out: list[MinGeodesic] = []
-        for s in segs:
-            dup = any(
-                abs(s.length - t.length) <= 1e-12
-                and np.allclose(s.v0, t.v0, atol=1e-12)
-                and np.allclose(s.v1, t.v1, atol=1e-12)
-                for t in out
-            )
-            if not dup:
-                out.append(s)
-        return out
 
     def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
         c = self._embed(base)
@@ -572,7 +516,11 @@ class DoubledRectangle(Space):
         disp = s * cover_vec
         if self._near_cone(start[None], disp[None], CONE_TOL)[0]:
             raise DegenerateTrajectoryError("trajectory passes through a cone point")
-        end, transform = self._reduce_cover(start + disp)
+        u, (sign,) = self._fold((start + disp)[None])
+        (chart,), (bottom,) = self._chart(u)
+        end = self.point(chart, BOTTOM if bottom else TOP)
+        # cover vectors at the end reach its chart through the deck transform
+        transform = sign * self._chart_matrix(end.face)
         carried = tuple(
             transform @ (self._chart_matrix(tan.base.face) @ _as_vector(c, 2, "carried vector"))
             for c in carry
@@ -585,10 +533,11 @@ class DoubledRectangle(Space):
     # -- batches ---------------------------------------------------------------
     # A cover row with y above b embeds a bottom-face point.
 
-    def _fold(self, xy: np.ndarray) -> np.ndarray:
+    def _fold(self, xy: np.ndarray):
         """Cover rows (N, 2) moved by the deck group to the lifts of ``point``'s
         canonical points: into [0, a] x [0, 2b), with boundary points on the
-        top face (a point on a vertical edge at y <= b)."""
+        top face (a point on a vertical edge at y <= b).  Returns the rows and
+        the deck sign (N,) of each, -1.0 where the move is a reflection."""
         u = wrap(xy, self.cover_periods)
         flip = u[:, 0] > self.a
         u[flip] = self.cover_periods - u[flip]
@@ -596,7 +545,7 @@ class DoubledRectangle(Space):
         u = np.maximum(u, 0.0)  # ``point``'s clamp
         edge = (u[:, 1] > self.b) & ((u[:, 0] == 0.0) | (u[:, 0] == self.a))
         u[edge, 1] = 2.0 * self.b - u[edge, 1]
-        return u
+        return u, np.where(flip ^ edge, -1.0, 1.0)
 
     def _chart(self, u: np.ndarray):
         """Folded cover rows -> (chart coords (N, 2), is_bottom (N,)), in place."""
@@ -628,7 +577,7 @@ class DoubledRectangle(Space):
     def step_batch(self, C, D):
         if self._near_cone(C, D, 2.0 * CONE_TOL).any():
             return None
-        u = self._fold(C + D)
+        u, _ = self._fold(C + D)
         return u, np.where(u[:, 1:] > self.b, _FLIP, 1.0)
 
     def points_batch(self, C) -> tuple:
@@ -639,7 +588,7 @@ class DoubledRectangle(Space):
         """(chart coords, is_bottom) of the points at ``lengths`` along the line."""
         start = self._embed(base)
         cover_dir = self._chart_matrix(base.face) @ direction
-        return self._chart(self._fold(start[None, :] + lengths[:, None] * cover_dir[None, :]))
+        return self._chart(self._fold(start[None, :] + lengths[:, None] * cover_dir[None, :])[0])
 
     def to_dict(self) -> dict:
         return {"type": "doubled_rectangle", "a": self.a, "b": self.b}

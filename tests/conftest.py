@@ -33,15 +33,21 @@ def brute_torus_distance(periods, p, q, radius=3):
     return best
 
 
-def brute_torus_minimizers(periods, p, q, tol=1e-9, radius=3):
-    """All minimizing displacements on a flat torus within tol of the minimum."""
+def brute_torus_minimizers(periods, p, q, tol=1e-9, radius=5):
+    """Every lattice lift ``(lam, disp, length)`` of q - p on a flat torus, |lam_i|
+    <= radius, within tol of the shortest, sorted by lam.  ``disp`` and
+    ``length`` are computed as the library computes them, so they compare bit
+    for bit.  The default radius covers every lift within one (longest) period
+    of the minimum on tori of up to four dimensions whose periods are within a
+    factor 2 of each other."""
     periods = np.asarray(periods, dtype=float)
-    disps = []
+    delta = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+    lifts = []
     for lam in itertools.product(range(-radius, radius + 1), repeat=len(periods)):
-        disp = np.asarray(q, dtype=float) - np.asarray(p, dtype=float) + np.array(lam) * periods
-        disps.append((float(np.linalg.norm(disp)), tuple(disp)))
-    dmin = min(d for d, _ in disps)
-    return sorted(t for d, t in disps if d <= dmin + tol)
+        disp = delta + np.asarray(lam, dtype=float) * periods
+        lifts.append((lam, disp, float(np.linalg.norm(disp))))
+    dmin = min(length for _, _, length in lifts)
+    return [t for t in lifts if t[2] <= dmin + tol]
 
 
 def double_embed(b, coords, face):
@@ -61,16 +67,21 @@ def brute_double_distance(a, b, p_coords, p_face, q_coords, q_face, radius=3):
     return best
 
 
-def brute_double_minimizer_count(a, b, p_coords, p_face, q_coords, q_face, tol=1e-9, radius=3):
+def brute_double_minimizers(a, b, p_coords, p_face, q_coords, q_face, tol=1e-9, radius=5):
+    """Every lift ``(lift, disp, length)`` of the pair on both sheets of the
+    cover, ``lift = (sheet, lam_x, lam_y)`` with |lam_i| <= radius, within tol
+    of the shortest, sorted by lift; ``disp`` is the cover displacement.  The
+    default radius covers tol up to 4 on DoubledRectangle(2, 1)."""
     P = np.array([2.0 * a, 2.0 * b])
     pc = double_embed(b, p_coords, p_face)
     qc = double_embed(b, q_coords, q_face)
-    lengths = []
-    for sheet in (qc, -qc):
+    lifts = []
+    for sheet, delta in enumerate((qc - pc, -qc - pc)):
         for lam in itertools.product(range(-radius, radius + 1), repeat=2):
-            lengths.append(float(np.linalg.norm(sheet + np.array(lam) * P - pc)))
-    dmin = min(lengths)
-    return sum(1 for l in lengths if l <= dmin + tol)
+            disp = delta + np.asarray(lam, dtype=float) * P
+            lifts.append(((sheet,) + lam, disp, float(np.linalg.norm(disp))))
+    dmin = min(length for _, _, length in lifts)
+    return [t for t in lifts if t[2] <= dmin + tol]
 
 
 def circulant_hessian_eigenvalues(k, n):

@@ -350,6 +350,23 @@ class TestRunScenario:
             tmp_path, capsys, MININD_12, ("inputs", "geodesic", "class", 0), 1.5)
         assert "inputs.geodesic.class" in err
 
+    def test_candgrad_at_tol_5_on_the_unit_torus_exits_2(self, tmp_path, capsys):
+        # used to list lifts such as (-6, 0) as "minimizing" and run past 30 s
+        doc = {"schema": 1, "space": {"type": "flat_torus", "periods": [1, 1]},
+               "command": "candgrad", "seed": 0, "params": {"tol": 5},
+               "inputs": {"points": [{"coords": c} for c in ([0.1, 0.1], [0.6, 0.2], [0.3, 0.7])]}}
+        started = time.perf_counter()
+        assert run_scenario(write(tmp_path, "s.json", doc), str(tmp_path / "r.json")) == 2
+        assert time.perf_counter() - started < 5.0
+        assert "params.tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol, code", [(0.1874, 0), (0.1875, 2)])
+    def test_tol_is_bounded_by_a_quarter_of_the_shortest_period(self, tmp_path, capsys, tol, code):
+        # min_scale of [1, 0.75] is 0.75; the bound holds for --tol as well
+        out = str(tmp_path / "r.json")
+        assert run_scenario(write(tmp_path, "s.json", MININD_12), out, {"tol": tol}) == code
+        assert ("params.tol" in capsys.readouterr().err) == (code == 2)
+
 
 class TestPlotData:
     def test_trace_csv_monotone_energy(self, tmp_path):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 import loopflow as lf
 from conftest import (
     brute_double_distance,
-    brute_double_minimizer_count,
+    brute_double_minimizers,
     brute_torus_distance,
     brute_torus_minimizers,
 )
+from loopflow.spaces import wrap
 
 T11 = lf.FlatTorus([1.0, 1.0])
 T21 = lf.FlatTorus([2.0, 1.0])
@@ -88,7 +89,8 @@ class TestMinimizingGeodesics:
         q = D21.point([1, 0.5], "bottom")
         segs = D21.minimizing_geodesics(p, q)
         assert len(segs) >= 2
-        assert len(segs) == brute_double_minimizer_count(2, 1, [1, 0.5], "top", [1, 0.5], "bottom")
+        want = brute_double_minimizers(2, 1, [1, 0.5], "top", [1, 0.5], "bottom")
+        assert [s.lift for s in segs] == [lift for lift, _, _ in want]
         assert all(s.length == pytest.approx(segs[0].length, abs=1e-12) for s in segs)
 
     @given(px=coord, py=coord, qx=coord, qy=coord)
@@ -104,7 +106,7 @@ class TestMinimizingGeodesics:
             assert abs(s.length - d) <= 1e-9
             assert abs(np.linalg.norm(s.v0) - 1.0) <= 1e-12
             assert abs(np.linalg.norm(s.v1) - 1.0) <= 1e-12
-        want = brute_torus_minimizers([2, 1], p.coords, q.coords)
+        want = sorted(tuple(disp) for _, disp, _ in brute_torus_minimizers([2, 1], p.coords, q.coords))
         got = sorted(tuple(s.length * s.v0) for s in segs)
         assert np.allclose(np.array(got), np.array(want), atol=1e-9)
 
@@ -120,6 +122,119 @@ class TestMinimizingGeodesics:
         a = sorted(tuple(np.round(s.v0, 9)) for s in T21.minimizing_geodesics(p, q))
         b = sorted(tuple(np.round(s.v0, 9)) for s in T21.minimizing_geodesics(ps, qs))
         assert np.allclose(np.array(a), np.array(b), atol=1e-8)
+
+
+PT = lf.Product([lf.FlatTorus([1.0, 0.75]), lf.FlatTorus([1.25])])
+
+
+@st.composite
+def near_half_steps(draw, n):
+    """Per coordinate, a fraction of the period: within 1e-3 of one half (at
+    an offset drawn from 0 to 1e-3, of either sign), or anywhere in [0, 1)."""
+    return np.array([
+        0.5 + draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.0, 1e-3))
+        if draw(st.booleans()) else draw(st.floats(0.0, 1.0, exclude_max=True))
+        for _ in range(n)
+    ])
+
+
+def tols(period):
+    return st.one_of(st.just(1e-9), st.floats(1e-12, period))
+
+
+class TestLiftSets:
+    """``minimizing_geodesics`` against the brute lattice scans of conftest:
+    the same lifts in the same order, with the same length, v0 and v1 bits,
+    for pairs near a half period and any ``tol`` up to a period."""
+
+    @pytest.mark.parametrize("periods", [[1.0, 0.75], [1.0, 0.8125, 1.375]])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_torus(self, periods, data):
+        torus = lf.FlatTorus(periods)
+        start = data.draw(near_half_steps(len(periods))) * periods
+        p = torus.point(start)
+        q = torus.point(start + data.draw(near_half_steps(len(periods))) * periods)
+        tol = data.draw(tols(max(periods)))
+        assume(torus.distance(p, q) > 0.0)
+        want = brute_torus_minimizers(periods, p.coords, q.coords, tol)
+        segs = torus.minimizing_geodesics(p, q, tol)
+        assert [s.lift for s in segs] == [lam for lam, _, _ in want]
+        for s, (_, disp, length) in zip(segs, want):
+            assert s.length == length
+            assert np.array_equal(s.v0, disp / length) and np.array_equal(s.v1, disp / length)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_product(self, data):
+        periods = np.array([1.0, 0.75, 1.25])
+        start = data.draw(near_half_steps(3)) * periods
+        p, q = PT.point(start), PT.point(start + data.draw(near_half_steps(3)) * periods)
+        tol = data.draw(tols(1.25))
+        wants = [brute_torus_minimizers(f.periods, p.coords[lo:hi], q.coords[lo:hi], tol)
+                 for f, (lo, hi) in zip(PT.factors, PT._offsets)]
+        # a factor at distance 0 takes the trivial lift, not its lattice ball
+        assume(all(length > 0.0 for want in wants for _, _, length in want))
+        segs = PT.minimizing_geodesics(p, q, tol)
+        combos = list(itertools.product(*wants))
+        assert [s.lift for s in segs] == [tuple(lam for lam, _, _ in c) for c in combos]
+        for s, combo in zip(segs, combos):
+            length = math.sqrt(sum(l**2 for _, _, l in combo))
+            v0 = np.concatenate([l * (d / l) for _, d, l in combo]) / length
+            assert s.length == length
+            assert np.array_equal(s.v0, v0) and np.array_equal(s.v1, v0)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_doubled_rectangle(self, data):
+        # q's cover lift is +-p's plus near-half cover periods, so both the
+        # translation and the reflection sheet see near ties
+        faces = st.sampled_from(("top", "bottom"))
+        p = D21.point([data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 1.0))],
+                      data.draw(faces))
+        sign = data.draw(st.sampled_from((1.0, -1.0)))
+        x, y = wrap(sign * D21._embed(p) + data.draw(near_half_steps(2)) * D21.cover_periods,
+                    D21.cover_periods)
+        if x > 2.0:
+            x, y = 4.0 - x, (2.0 - y) % 2.0
+        q = D21.point([x, min(y, 2.0 - y)], "bottom" if y > 1.0 else "top")
+        tol = data.draw(tols(2.0))
+        assume(D21.distance(p, q) > 0.0)
+        want = brute_double_minimizers(2, 1, p.coords, p.face, q.coords, q.face, tol)
+        segs = D21.minimizing_geodesics(p, q, tol, allow_degenerate=True)
+        assert [s.lift for s in segs] == [lift for lift, _, _ in want]
+        chart = {"top": np.eye(2), "bottom": np.diag([1.0, -1.0])}
+        for s, (lift, disp, length) in zip(segs, want):
+            e = disp / length
+            assert s.length == length
+            assert np.array_equal(s.v0, chart[p.face] @ e)
+            assert np.array_equal(s.v1, chart[q.face] @ (e if lift[0] == 0 else -e))
+
+    def test_a_lift_at_exactly_dmin_plus_tol_is_listed(self):
+        # the lift (-1,) has length 1.10233... == dmin + tol, but the reach
+        # box's lower edge (-reach - d) / 1 rounds to -0.9999999999999999
+        circle = lf.FlatTorus([1.0])
+        p, q = circle.point([0.6670875671744891]), circle.point([0.5647573314147908])
+        segs = circle.minimizing_geodesics(p, q, tol=1.0)
+        assert [s.lift for s in segs] == [(-1,), (0,), (1,)]
+        assert segs[0].length == circle.distance(p, q) + 1.0
+
+    def test_a_coordinate_lost_in_the_rounding_of_reach_keeps_its_nearest_lift(self):
+        # reach**2 less the other coordinate's square rounds to 0 < 1e-20
+        segs = T11.minimizing_geodesics(T11.point([0, 0]), T11.point([1e-10, 0.5]), tol=1e-20)
+        assert [s.lift for s in segs] == [(0, -1), (0, 0)]
+
+    def test_short_periods_beside_a_long_one_stay_within_the_guard(self):
+        # a box of every lift within reach of the nearest in each coordinate
+        # alone would span 1000 lifts per short period
+        torus = lf.FlatTorus([0.001, 0.001, 1.0])
+        segs = torus.minimizing_geodesics(torus.point([0, 0, 0]), torus.point([0.0002, 0.0003, 0.5]))
+        assert [s.lift for s in segs] == [(0, 0, -1), (0, 0, 0)]
+
+    def test_the_guard_still_bounds_a_wide_tol(self):
+        torus = lf.FlatTorus([1.0, 50.0])
+        with pytest.raises(lf.ResourceLimitError):
+            torus.minimizing_geodesics(torus.point([0, 0]), torus.point([0.5, 25.0]), tol=5000.0)
 
 
 class TestExpMap:
@@ -168,6 +283,21 @@ class TestExpMap:
         )
         assert np.allclose(vel, [0.0, -1.0], atol=1e-12)
         assert np.allclose(carried, [1.0, 0.0], atol=1e-12)
+
+    def test_flow_onto_a_vertical_edge_from_the_bottom_face(self):
+        # (0.5, 0.3) bottom along (-1, 0) meets the edge x = 0 at 0.5, where
+        # ``point`` puts the end on the top face: the deck transform is the
+        # reflection, so the velocity turns to (1, 0) and the edge's own
+        # direction (0, 1) is carried to (0, 1)
+        start = D21.point([0.5, 0.3], "bottom")
+        end, vel, (carried,) = D21.flow(
+            lf.Tangent(start, np.array([-1.0, 0.0])), 0.5, carry=(np.array([0.0, 1.0]),)
+        )
+        assert end.face == "top" and np.allclose(end.coords, [0.0, 0.3], rtol=0, atol=1e-15)
+        assert np.array_equal(vel, [1.0, 0.0]) and np.array_equal(carried, [0.0, 1.0])
+        # just short of the edge the end is still on the bottom face, moving along -x
+        end, vel, _ = D21.flow(lf.Tangent(start, np.array([-1.0, 0.0])), 0.25)
+        assert end.face == "bottom" and np.array_equal(vel, [-1.0, 0.0])
 
 
 class TestCutPairs:
