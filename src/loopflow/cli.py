@@ -53,11 +53,10 @@ from .flow import (
 from .geodesics import (
     TWO_PI,
     VariationSpec,
+    _arcs,
     _points_batch,
     geodesic_from_dict,
     geodesic_to_dict,
-    is_k_geodesic,
-    is_openly_k_geodesic,
     minimizing_index,
     torus_class_minind,
     variation_minind_profile,
@@ -161,11 +160,12 @@ def _config_from_inputs(space, inputs: dict, where: str) -> Configuration:
                                       for i, p in enumerate(pts)))
 
 
-def _curve_samples(geod, count: int = 256) -> list[dict]:
+def _curve_samples(geod, count: int = 256) -> list[list[float]]:
+    """Rows ``[t, x0, ..., x_{n-1}]`` of the loop at ``count`` + 1 parameters,
+    the last repeating the first point."""
     j = np.arange(count + 1)
     coords, _ = _points_batch(geod, TWO_PI * (j % count) / count)
-    return [{"t": TWO_PI * i / count, "coords": [float(c) for c in row]}
-            for i, row in enumerate(coords)]
+    return np.column_stack((TWO_PI * j / count, coords)).tolist()
 
 
 # -- command handlers -------------------------------------------------------------
@@ -241,13 +241,8 @@ def _run_minind(space, inputs, params, seed):
 def _run_openly(space, inputs, params, seed):
     geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space, "inputs.geodesic")
     k = _checked(inputs, "k", "inputs", count_rule(2))
-    tol = float(params["tol"])
-    is_k = is_k_geodesic(geod, k, tol)
-    return {
-        "k": k,
-        "is_k_geodesic": is_k,
-        "openly": is_openly_k_geodesic(geod, k, tol) if is_k else False,
-    }
+    arcs = _arcs(geod, k, float(params["tol"]))
+    return {"k": k, "is_k_geodesic": arcs.minimizing, "openly": arcs.minimizing and arcs.cut is None}
 
 
 def _run_probe(space, inputs, params, seed):
@@ -511,9 +506,8 @@ def emit_plot_data(report_path: str, kind: str, out_path: str) -> int:
             curve = outputs.get("curve")
             if curve is None:
                 raise ValidationError("report has no curve samples")
-            dim = len(curve[0]["coords"])
-            header = ("t",) + tuple(f"x{i}" for i in range(dim))
-            rows = [tuple([r["t"]] + r["coords"]) for r in curve]
+            header = ("t",) + tuple(f"x{i}" for i in range(len(curve[0]) - 1))
+            rows = curve
         else:
             raise ValidationError(f"unknown plot kind {kind!r}")
     except ValidationError as exc:

@@ -184,20 +184,32 @@ class CutPair(NamedTuple):
     distance: float
 
 
+def _cover_batch(g: ClosedGeodesic, ts: np.ndarray):
+    """Cover rows and chart frames (None on tori) of the loop points at the
+    given parameters; None when their faces are per product factor."""
+    pts, faces = _points_batch(g, ts)
+    if faces is None:
+        return pts, None
+    if isinstance(faces, list):
+        return None
+    pts[:, 1] = np.where(faces, 2.0 * g.space.b - pts[:, 1], pts[:, 1])
+    return pts, np.where(faces[:, None], (1.0, -1.0), 1.0)
+
+
 def _pair_distance(g: ClosedGeodesic, t: float, k: int) -> float:
     """Distance of the loop points at t and t + 2*pi/k, as the squares of the
     nearest cover lift sum up (on the doubled rectangle, over both sheets)."""
     ts = np.array([t, t + TWO_PI / k])
-    pts, faces = _points_batch(g, ts)
-    if isinstance(faces, list):  # a product with a doubled-rectangle factor
+    cover = _cover_batch(g, ts)
+    if cover is None:
         return g.space.distance(point_at(g, ts[0]), point_at(g, ts[1]))
-    periods = effective_periods(g.space)
-    if periods is None:  # doubled rectangle: embed the faces in the cover
-        periods = g.space.cover_periods
-        pts[:, 1] = np.where(faces, 2.0 * g.space.b - pts[:, 1], pts[:, 1])
-        deltas = (pts[1] - pts[0], -pts[1] - pts[0])
-    else:
+    pts, frames = cover
+    if frames is None:
+        periods = effective_periods(g.space)
         deltas = (pts[1] - pts[0],)
+    else:
+        periods = g.space.cover_periods
+        deltas = (pts[1] - pts[0], -pts[1] - pts[0])
     return min(
         float(np.sqrt(((d - periods * np.round(d / periods)) ** 2).sum())) for d in deltas
     )
@@ -271,15 +283,50 @@ def variation_geodesic(var: VariationSpec, s: float) -> ClosedGeodesic:
     return segment_loop_geodesic(g.space, base, carried[0], g.length)
 
 
-def _check_variation(var: VariationSpec, s: float, shifted: ClosedGeodesic, tol: float):
+# the loop parameters at which a variation is checked to be a synchronized flow
+_CHECK_TS = np.linspace(0.0, TWO_PI, 9)[:-1]
+
+
+def _check_variation(var: VariationSpec, s: float, shifted: ClosedGeodesic, tol: float, cover):
+    """Raise unless the loop points at _CHECK_TS, flowed along the field for
+    time s, are the shifted loop's.  From ``cover`` (``_check_cover``) one
+    array pass may certify that; otherwise the point by point check decides."""
     g = var.geodesic
-    for t in np.linspace(0.0, TWO_PI, 9)[:-1]:
+    if cover is not None:
+        rows, frames = cover
+        moved = g.space.step_batch(rows, s * var.field if frames is None else frames * (s * var.field))
+        target = _cover_batch(shifted, _CHECK_TS)
+        if moved is not None and target is not None and (
+                g.space.segment_batch(moved[0], target[0], tol)[2] <= max(tol, 1e-8)).all():
+            return
+    for t in _CHECK_TS:
         expected = g.space.exp_map(Tangent(point_at(g, t), var.field), s)
         if g.space.distance(expected, point_at(shifted, t)) > max(tol, 1e-8):
             raise GeometryError(f"variation is not a synchronized flow at s={s}, t={t}")
         if var.perpendicular:
             if abs(float(var.field @ velocity_at(g, t))) > max(tol, 1e-8):
                 raise ValidationError("variation field is not perpendicular to the loop")
+
+
+def _check_cover(var: VariationSpec, tol: float):
+    """The central loop's ``_cover_batch`` at _CHECK_TS, or None when the field
+    fails the perpendicularity test, which does not depend on s and so runs
+    once here; the point by point check then raises where it always did."""
+    g = var.geodesic
+    try:
+        if var.perpendicular and any(abs(float(var.field @ velocity_at(g, t))) > max(tol, 1e-8)
+                                     for t in _CHECK_TS):
+            return None
+    except GeometryError:
+        return None
+    return _cover_batch(g, _CHECK_TS)
+
+
+def _index_flags(g: ClosedGeodesic, k0: int, tol: float) -> tuple[int, bool]:
+    """The minimizing index of a loop, and whether it is openly 1/k0."""
+    mind = minimizing_index(g, tol)
+    arcs = _arcs(g, k0, tol)
+    return mind, mind <= k0 and arcs.minimizing and arcs.cut is None
 
 
 @dataclass(frozen=True)
@@ -319,15 +366,14 @@ def variation_minind_profile(
     g = var.geodesic
     k0 = k_hint or minimizing_index(g, tol)
     cut = max_cut_pair(g, k0, tol)
-    svals = np.linspace(-var.s_max, var.s_max, var.steps)
+    cover = _check_cover(var, tol)
+    # a torus loop's translates share its index and openness (loop_arcs ignores the base)
+    flags = _index_flags(g, k0, tol) if g.kind == "torus_class" else None
     rows = []
-    for s in svals:
+    for s in np.linspace(-var.s_max, var.s_max, var.steps):
         shifted = variation_geodesic(var, float(s))
-        _check_variation(var, float(s), shifted, tol)
-        mind = minimizing_index(shifted, tol)
-        openly = mind <= k0 and is_k_geodesic(shifted, k0, tol) and is_openly_k_geodesic(
-            shifted, k0, tol
-        )
+        _check_variation(var, float(s), shifted, tol, cover)
+        mind, openly = flags or _index_flags(shifted, k0, tol)
         rows.append(ProfileRow(s=float(s), minind=mind, openly=openly))
 
     dplus = None

@@ -650,12 +650,12 @@ class Product(Space):
         self._check_point(q)
         ps = self._split_point(p)
         qs = self._split_point(q)
-        total = self.distance(p, q)
-        if total == 0.0:
+        ds = [f.distance(a, b) for f, a, b in zip(self.factors, ps, qs)]
+        if math.sqrt(sum(d**2 for d in ds)) == 0.0:  # ``distance``'s expression
             raise CoincidentPointsError("points are identified in the product")
         per_factor = []
-        for f, a, b in zip(self.factors, ps, qs):
-            if f.distance(a, b) == 0.0:
+        for f, a, b, d in zip(self.factors, ps, qs, ds):
+            if d == 0.0:
                 trivial = MinGeodesic(
                     length=0.0,
                     v0=np.zeros(f.dim),

@@ -263,3 +263,18 @@ def strip_timing(report):
     if isinstance(report, list):
         return [strip_timing(v) for v in report]
     return report
+
+
+def scalar_check_variation(var, s, shifted, tol=1e-9):
+    """The point by point variation check: the central loop's points at eight
+    parameters, each flowed along the field for time s by the scalar flow,
+    must be the shifted loop's points, and with ``var.perpendicular`` the
+    field must be perpendicular to the loop at each.  Raises as the library
+    always has."""
+    g = var.geodesic
+    for t in np.linspace(0.0, 2.0 * math.pi, 9)[:-1]:
+        expected = g.space.exp_map(lf.Tangent(lf.point_at(g, t), var.field), s)
+        if g.space.distance(expected, lf.point_at(shifted, t)) > max(tol, 1e-8):
+            raise lf.GeometryError(f"variation is not a synchronized flow at s={s}, t={t}")
+        if var.perpendicular and abs(float(var.field @ lf.velocity_at(g, t))) > max(tol, 1e-8):
+            raise lf.ValidationError("variation field is not perpendicular to the loop")

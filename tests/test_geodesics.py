@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_loop_arcs
+from conftest import dense_loop_arcs, scalar_check_variation
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loopflow as lf
+from loopflow import geodesics
 
 T11 = lf.FlatTorus([1.0, 1.0])
 T21 = lf.FlatTorus([2.0, 1.0])
@@ -341,6 +342,110 @@ class TestAgainstDenseReference:
             assert dense_loop_arcs(g, index)[0] >= -1e-9
             if index > 2:
                 assert dense_loop_arcs(g, index - 1)[0] < -1e-9
+
+
+def _outcome(check, *args):
+    """None when ``check`` returns, else the type and message it raised."""
+    try:
+        check(*args)
+    except (lf.GeometryError, lf.ValidationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def variations(draw):
+    """A variation and one s: loops and fields on every backend, vertical
+    doubled-rectangle loops pushed across x = 0 or x = a (with and without a
+    vertical field component), and horizontal ones pushed through a cone."""
+    family = draw(st.sampled_from(["any", "slide", "cone"]))
+    if family == "any":
+        g = draw(straight_loops())
+        field = draw(st.lists(st.floats(-1.0, 1.0), min_size=g.space.dim, max_size=g.space.dim))
+    elif family == "slide":
+        base = D21.point([draw(st.floats(0.01, 1.99)), draw(st.floats(0.0, 0.99))], "top")
+        g = lf.segment_loop_geodesic(D21, base, [0.0, 1.0], 2.0)
+        field = [draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([0.0, 0.3, -1e-3]))]
+    else:
+        # the sample at t = 3/4 pi sits on the edge x = a; pushed down by
+        # more than y0 it runs through the cone (a, 0)
+        g = lf.segment_loop_geodesic(D21, D21.point([0.5, draw(st.floats(0.05, 0.95))], "top"),
+                                     [1.0, 0.0], 4.0)
+        field = [0.0, -1.0]
+    s = draw(st.floats(-1.0, 1.0))
+    var = lf.VariationSpec(geodesic=g, field=np.array(field), s_max=max(abs(s), 1e-3), steps=3,
+                           perpendicular=draw(st.booleans()))
+    return var, s
+
+
+class TestVariationCheck:
+    @given(variations())
+    @settings(max_examples=200, deadline=None)
+    def test_array_pass_agrees_with_the_point_by_point_check(self, case):
+        var, s = case
+        try:
+            shifted = lf.variation_geodesic(var, s)
+        except lf.GeometryError:  # the shifted base runs through a cone point
+            assume(False)
+        cover = geodesics._check_cover(var, 1e-9)
+        assert (_outcome(geodesics._check_variation, var, s, shifted, 1e-9, cover)
+                == _outcome(scalar_check_variation, var, s, shifted))
+
+    @pytest.mark.parametrize("loop", ["T2", "T3", "PT", "DR"])
+    def test_array_pass_takes_no_scalar_flow(self, loop, monkeypatch):
+        if loop == "DR":
+            var = lf.VariationSpec(geodesic=over_under_loop(), field=np.array([-1.0, 0.0]),
+                                   s_max=0.1, steps=3, perpendicular=True)
+        else:
+            space = TORI[loop]
+            g = lf.torus_class_geodesic(space, space.point([0.1] * space.dim), [1] + [2] * (space.dim - 1))
+            var = lf.VariationSpec(geodesic=g, field=np.linspace(0.3, -0.4, space.dim), s_max=0.1, steps=3)
+        shifted = lf.variation_geodesic(var, 0.07)
+        cover = geodesics._check_cover(var, 1e-9)
+
+        def scalar(*args):
+            raise AssertionError("the point by point check ran")
+
+        monkeypatch.setattr(geodesics, "point_at", scalar)
+        geodesics._check_variation(var, 0.07, shifted, 1e-9, cover)
+
+    def test_per_factor_faces_take_the_point_by_point_check(self):
+        base = MIXED.point([0.3, 0.5, 0.25], (None, "top"))
+        g = lf.segment_loop_geodesic(MIXED, base, [0.0, 0.0, 1.0], 2.0)
+        var = lf.VariationSpec(geodesic=g, field=np.array([0.5, -1.0, 0.0]), s_max=0.1, steps=5,
+                               perpendicular=True)
+        assert geodesics._check_cover(var, 1e-9) is None
+        # the doubled-rectangle factor slides as in test_doubled_rectangle_slide_transition
+        assert [r.minind for r in lf.variation_minind_profile(var).rows] == [2, 2, 2, 3, 3]
+
+
+@st.composite
+def torus_variations(draw):
+    space = TORI[draw(st.sampled_from(sorted(TORI)))]
+    klass = draw(st.lists(st.integers(-3, 3), min_size=space.dim, max_size=space.dim))
+    assume(any(klass))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    base = space.point([draw(unit) * a for a in lf.effective_periods(space)])
+    g = lf.torus_class_geodesic(space, base, klass)
+    field = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=space.dim, max_size=space.dim)))
+    var = lf.VariationSpec(geodesic=g, field=field, s_max=draw(st.floats(0.01, 2.0)),
+                           steps=draw(st.integers(3, 9)))
+    return var, draw(st.sampled_from([None, 0, 1]))
+
+
+class TestTorusProfile:
+    @given(torus_variations())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_a_per_s_index_and_openness(self, case):
+        var, above = case
+        k_hint = None if above is None else lf.minimizing_index(var.geodesic) + above
+        prof = lf.variation_minind_profile(var, k_hint)
+        k0 = prof.k0
+        for row in prof.rows:
+            shifted = lf.variation_geodesic(var, row.s)
+            mind = lf.minimizing_index(shifted)
+            openly = mind <= k0 and lf.is_k_geodesic(shifted, k0) and lf.is_openly_k_geodesic(shifted, k0)
+            assert (row.minind, row.openly) == (mind, openly)
 
 
 class TestSerialization:
