@@ -38,6 +38,7 @@ from .errors import (
     POSITIVE,
     GeometryError,
     ValidationError,
+    _real,
     check_rule,
     count_rule,
 )
@@ -107,6 +108,13 @@ def _checked(data: dict, key: str, where: str, rule, default=None):
     value = _require(data, key, where) if default is None else data.get(key, default)
     check_rule(rule, value, f"{where}.{key}")
     return value
+
+
+def _vector(value, dim: int, field: str) -> np.ndarray:
+    """``value`` as ``dim`` finite numbers; else a ValidationError naming ``field``."""
+    if not (isinstance(value, list) and len(value) == dim and all(map(_real, value))):
+        raise ValidationError(f"{field}: expected a list of {dim} finite numbers, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def _resolve_params(scenario: dict, overrides: dict) -> dict:
@@ -194,8 +202,7 @@ def _run_dist(space, inputs, params, seed):
 def _run_dplus(space, inputs, params, seed):
     p = point_from_dict(space, _require(inputs, "p", "inputs"), "inputs.p")
     q = point_from_dict(space, _require(inputs, "q", "inputs"), "inputs.q")
-    v = np.asarray(_require(inputs, "v", "inputs"), dtype=float)
-    w = np.asarray(_require(inputs, "w", "inputs"), dtype=float)
+    v, w = (_vector(_require(inputs, key, "inputs"), space.dim, f"inputs.{key}") for key in "vw")
     return {"dplus": dplus_distance(space, p, q, v, w, float(params["tol"]))}
 
 
@@ -205,7 +212,9 @@ def _run_energy(space, inputs, params, seed):
     energy = energy_of_lengths(ds)
     out = {"uniform_energy": energy, "loop_energy": energy, "loop_length": sum(ds)}
     if "tangent" in inputs:
-        v = ConfigTangent.of(x, inputs["tangent"])
+        rows = _checked(inputs, "tangent", "inputs", (lambda v: isinstance(v, list), "a list"))
+        v = ConfigTangent.of(x, [_vector(r, space.dim, f"inputs.tangent[{i}]")
+                                 for i, r in enumerate(rows)])
         out["dplus"] = dplus_uniform_energy(x, v, float(params["tol"]))
     return out
 
@@ -251,10 +260,12 @@ def _run_probe(space, inputs, params, seed):
                               "inputs.variation.geodesic")
     var = VariationSpec(
         geodesic=geod,
-        field=np.asarray(_require(vdata, "field", "inputs.variation"), dtype=float),
+        field=_vector(_require(vdata, "field", "inputs.variation"), space.dim,
+                      "inputs.variation.field"),
         s_max=float(_checked(vdata, "s_max", "inputs.variation", POSITIVE)),
         steps=_checked(vdata, "steps", "inputs.variation", count_rule(3)),
-        perpendicular=bool(vdata.get("perpendicular", False)),
+        perpendicular=_checked(vdata, "perpendicular", "inputs.variation",
+                               (lambda v: isinstance(v, bool), "true or false"), False),
     )
     k = inputs.get("k")
     if k is not None:
@@ -363,7 +374,8 @@ def _digest(scenario: dict) -> str:
 
 
 def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
-    """Run one scenario object and build its report (may raise)."""
+    """Run one scenario object and build its report, a pure function of the
+    scenario and the overrides (may raise)."""
     overrides = overrides or {}
     if not isinstance(scenario, dict):
         raise ValidationError("scenario: expected a JSON object")
@@ -380,7 +392,6 @@ def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
     if overrides.get("jobs") is not None:
         check_rule(count_rule(1), overrides["jobs"], "params.jobs")
 
-    started = time.perf_counter()
     if command == "sweep":
         subs = _require(scenario.get("inputs", {}), "scenarios", "inputs")
         if not isinstance(subs, list) or not subs:
@@ -399,7 +410,6 @@ def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
         if not isinstance(inputs, dict):
             raise ValidationError("inputs: expected an object")
         outputs = HANDLERS[command](space, inputs, params, seed)
-    elapsed_ms = 1000.0 * (time.perf_counter() - started)
 
     return {
         "schema": SCHEMA_VERSION,
@@ -409,7 +419,6 @@ def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
         "library_version": __version__,
         "params_resolved": params,
         "outputs": outputs,
-        "wall_time_ms": elapsed_ms,
     }
 
 
@@ -417,7 +426,8 @@ def run_scenario(path: str, out_path: str | None = None, overrides: dict | None 
                  stream=None, seed: int | None = None) -> int:
     """Load, validate, and execute a scenario file; write the report.
 
-    Returns the process exit code (0 ok, 2 validation, 3 numerical).
+    Returns the process exit code (0 ok, 2 validation, 3 numerical or a
+    non-finite number in the report).  Only this report carries ``wall_time_ms``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -432,8 +442,10 @@ def run_scenario(path: str, out_path: str | None = None, overrides: dict | None 
         scenario["seed"] = seed
 
     partial = None
+    started = time.perf_counter()
     try:
         report = execute_scenario(scenario, overrides)
+        report["wall_time_ms"] = 1000.0 * (time.perf_counter() - started)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
@@ -452,7 +464,11 @@ def run_scenario(path: str, out_path: str | None = None, overrides: dict | None 
         return 3
 
     payload = report if report is not None else partial
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        print("numerical error: the report holds a non-finite number", file=sys.stderr)
+        return 3
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

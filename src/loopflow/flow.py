@@ -10,6 +10,7 @@ the restarted flow never worsens the minimizing index.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -44,7 +45,7 @@ from .geodesics import (
     minimizing_index,
     point_at,
 )
-from .spaces import DEFAULT_TOL, Tangent, effective_periods
+from .spaces import DEFAULT_TOL, Tangent, effective_periods, wrap
 
 MIN_STEP = 1e-14
 COLLIDE_TOL = 1e-12
@@ -94,16 +95,16 @@ class FlowTrace:
     nudges: tuple[tuple[int, int], ...]
     record_every: int
     error: str | None = None
-    recorded: tuple = ()  # the recorded ``_Iterate``s
+    recorded: Callable[[int], Configuration] | None = None  # builds recorded iterate i
 
     @cached_property
     def iterates(self) -> tuple[Configuration, ...]:
         """The recorded configurations, built when first read."""
-        return tuple(it.config for it in self.recorded)
+        return tuple(map(self.recorded, range(len(self.energies))))
 
     @property
     def final(self) -> Configuration:
-        return self.recorded[-1].config
+        return self.recorded(len(self.energies) - 1)
 
 
 def _nudge_collisions(x: Configuration, iteration: int, log: list) -> Configuration:
@@ -249,7 +250,7 @@ def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
         rec.append((it, energy, it.gradient()[1]))
     return FlowTrace(
         status=status,
-        recorded=tuple(r[0] for r in rec),
+        recorded=lambda i, its=tuple(r[0] for r in rec): its[i].config,
         energies=tuple(r[1] for r in rec),
         grad_norms=tuple(r[2] for r in rec),
         iterations=n,
@@ -259,13 +260,90 @@ def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
     )
 
 
+def _closed_form_flow(x0: Configuration, params: FlowParams, h: float,
+                      birkhoff: bool = False) -> FlowTrace | None:
+    """The flow of step h on a torus or a product of tori in closed form, or
+    None where it does not apply.  A step maps the nearest-lift displacements
+    d_i = x_{i+1} - x_i to h d_{i-1} + (1 - 2h) d_i + h d_{i+1}, diagonal in the
+    DFT basis.  Every iterate must pass the iterated path's checks: each d_i
+    (and Birkhoff half-sweep chord) is a certified unique nearest lift longer
+    than COLLIDE_TOL, and the energy falls beyond rounding (Birkhoff: rises <= 1e-15)."""
+    space, periods = x0.space, effective_periods(x0.space)
+    if periods is None or not MIN_STEP <= h <= 0.5:
+        return None
+    cover = np.array([space._embed(p) for p in x0.points])
+    d0 = np.roll(cover, -1, axis=0) - cover
+    d0 -= periods * np.round(d0 / periods)
+    k, dim = d0.shape
+    spec = np.fft.rfft(d0, axis=0)
+    lam = 1.0 - 4.0 * h * np.sin(np.pi * np.arange(len(spec)) / k) ** 2
+
+    def certified(d):
+        # convex steps keep |d| below half a period: its nearest lift is d itself
+        flat = d.reshape(-1, dim)
+        _, _, length, unique = space.segment_batch(np.zeros_like(flat), flat, params.tol)
+        ok = (unique & (length > COLLIDE_TOL)).reshape(d.shape[:2]).all(axis=1)
+        return ok, length.reshape(d.shape[:2])
+
+    def build(i):
+        d = np.fft.irfft(lam[:, None] ** ns[i] * spec, k, axis=0)
+        rows = firsts[i] + np.concatenate((np.zeros((1, dim)), np.cumsum(d[:-1], axis=0)))
+        return Configuration(space, space.points_batch(wrap(rows, periods))) if ns[i] else x0
+
+    # |g^n| <= rho^n |g^0| sizes the first block; a block holds about 1 MB at most
+    rho, g0 = np.abs(lam[1:]).max(initial=0.0), np.linalg.norm(np.roll(d0, 1, axis=0) - d0)
+    size = 2 + max(0, int(np.log(params.grad_tol / g0) / np.log(rho))) if g0 > 0 < rho < 1 else 2
+    cap, n0, walked, rec = max(1, (1 << 17) // (k * dim) - 1), 0, np.zeros((1, dim)), []
+    while True:
+        ns = np.arange(n0, min(n0 + min(size, cap), params.max_iters) + 1)
+        d = np.fft.irfft(lam[None, :, None] ** ns[:, None, None] * spec, k, axis=1)
+        d[0] = d0 if n0 == 0 else d[0]
+        ok, length = certified(d)
+        energy = k * (length * length).sum(axis=1)
+        g = np.roll(d, 1, axis=1) - d
+        mag = np.sqrt(np.einsum("bkn,bkn->b", g, g))
+        settled = mag[:-1] <= params.grad_tol
+        rise = energy[1:] - energy[:-1]
+        # a decrease within rounding is left to the iterated path's backtracking
+        rose = rise > 1e-15 if birkhoff else rise >= -1e-13 * energy[:-1]
+        if birkhoff:  # and the half-sweep chords
+            rose |= ~certified((d[:-1] + np.roll(d[:-1], -1, axis=1)) / 2.0)[0]
+        bad = ~ok[:-1] | ~settled & rose
+        flat = ~settled & (-rise <= params.energy_tol)
+        # point 0 moves against its gradient rows; the others follow from d
+        walked = walked[-1] + np.concatenate((np.zeros((1, dim)), np.cumsum(g[:-1, 0], axis=0)))
+        stops = np.flatnonzero(bad | settled | flat | (ns[:-1] + 1 == params.max_iters))
+        last = stops[0] if stops.size else len(ns) - 2
+        keep = np.flatnonzero(ns[:last + 1] % params.record_every == 0)
+        end = last if settled[last] else last + 1
+        if stops.size and end not in keep:
+            keep = np.append(keep, end)
+        rec.append((ns[keep], energy[keep], mag[keep], cover[0] - h * walked[keep]))
+        if stops.size:
+            break
+        n0, size = ns[-1], 2 * size
+    if bad[last] or not ok[end]:
+        return None
+    ns, energies, mags, firsts = (np.concatenate(c) for c in zip(*rec))
+    return FlowTrace(status="converged" if settled[last] or flat[last] else "max_iters",
+                     energies=tuple(energies.tolist()), grad_norms=tuple(mags.tolist()),
+                     iterations=int(ns[-1]), nudges=(), record_every=params.record_every,
+                     recorded=build)
+
+
 def descend(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
     """Gradient-like descent with strict-decrease backtracking.
 
     Stops when the gradient-like magnitude falls below ``grad_tol``, when an
     accepted step decreases the energy by at most ``energy_tol``, or at
     ``max_iters``.  The step underflowing without any decrease is an error.
+    On tori it runs in closed form where it can (``_closed_form_flow``).
     """
+    return _closed_form_flow(x0, params, params.step) or _descend_iterated(x0, params)
+
+
+def _descend_iterated(x0: Configuration, params: FlowParams) -> FlowTrace:
+    """``descend`` one step at a time: what it runs off tori, and its oracle."""
     step = params.step
 
     def advance(it, grad, energy, n, nudges):
@@ -282,13 +360,19 @@ def descend(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
 
 
 def birkhoff_shorten(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
-    """Classical alternating midpoint shortening; an independent flow oracle.
+    """Classical alternating midpoint shortening.
 
     Each sweep replaces the configuration by the chord midpoints of its
     connecting minimizing geodesics, twice, so indices realign.  Both phases
     are energy non-increasing: a new chord is at most the two half-chords it
-    replaces, and squares average convexly.
+    replaces, and squares average convexly.  On tori the two sweeps are one
+    ``descend`` step of size 1/4, run in closed form where they can.
     """
+    return _closed_form_flow(x0, params, 0.25, birkhoff=True) or _birkhoff_iterated(x0, params)
+
+
+def _birkhoff_iterated(x0: Configuration, params: FlowParams) -> FlowTrace:
+    """``birkhoff_shorten`` one sweep at a time: what it runs off tori, and its oracle."""
 
     def advance(it, grad, energy, n, nudges):
         # rotate so x'_i sits between the chords around the original x_i

@@ -9,7 +9,8 @@ import time
 import pytest
 from conftest import strip_timing
 
-from loopflow.cli import emit_plot_data, main, run_scenario
+import loopflow.cli
+from loopflow.cli import emit_plot_data, execute_scenario, main, run_scenario
 
 TREC_SPACE = {"type": "flat_torus", "periods": [1.0, 0.75]}
 DOUBLE_SPACE = {"type": "doubled_rectangle", "a": 2.0, "b": 1.0}
@@ -77,6 +78,24 @@ HESSIAN_LINE = {
     "command": "hessian",
     "seed": 0,
     "inputs": {"points": [{"coords": [x, 0.25], "face": None} for x in (0.0, 0.25, 0.5, 0.75)]},
+}
+SWEEP = {"schema": 1, "command": "sweep", "seed": 0,
+         "inputs": {"scenarios": [MININD_12, FLOW_NOISY]}}
+DPLUS_T2 = {
+    "schema": 1,
+    "space": TREC_SPACE,
+    "command": "dplus",
+    "seed": 0,
+    "inputs": {"p": {"coords": [0.1, 0.2]}, "q": {"coords": [0.4, 0.3]},
+               "v": [1.0, 0.0], "w": [0.0, 1.0]},
+}
+ENERGY_SQUARE = {
+    "schema": 1,
+    "space": TREC_SPACE,
+    "command": "energy",
+    "seed": 0,
+    "inputs": {"points": SQUARE_POINTS,
+               "tangent": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]},
 }
 
 
@@ -191,6 +210,15 @@ class TestRunScenario:
             (SLIDE_PROBE, ("inputs", "variation", "steps"), 4.5),  # used to be truncated
             (FLOW_NOISY, ("inputs", "perturb", "magnitude"), -0.01),
             (HESSIAN_LINE, ("inputs", "zero_tol"), -1.0),
+            # a ValueError traceback
+            (SLIDE_PROBE, ("inputs", "variation", "field"), "up"),
+            # a report holding NaN, with exit 0
+            (SLIDE_PROBE, ("inputs", "variation", "field"), [float("nan"), 1.0]),
+            # read as true
+            (SLIDE_PROBE, ("inputs", "variation", "perpendicular"), "no"),
+            # a traceback
+            (DPLUS_T2, ("inputs", "v"), [1.0, 0.0, 0.0]),
+            (DPLUS_T2, ("inputs", "w"), [0.0, float("inf")]),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, doc, path, value):
@@ -202,6 +230,26 @@ class TestRunScenario:
         code = run_scenario(write(tmp_path, "bad.json", bad), str(tmp_path / "r.json"))
         assert code == 2
         assert ".".join(path) in capsys.readouterr().err
+
+    def test_valid_dplus_and_energy_tangent_run(self, tmp_path):
+        for doc in (DPLUS_T2, ENERGY_SQUARE):
+            assert run_scenario(write(tmp_path, "s.json", doc), str(tmp_path / "r.json")) == 0
+
+    def test_nan_energy_tangent_row_exits_2(self, tmp_path, capsys):
+        # used to give a report holding NaN, with exit 0
+        bad = json.loads(json.dumps(ENERGY_SQUARE))
+        bad["inputs"]["tangent"][1] = [0.0, float("nan")]
+        assert run_scenario(write(tmp_path, "bad.json", bad), str(tmp_path / "r.json")) == 2
+        assert "inputs.tangent[1]" in capsys.readouterr().err
+
+    def test_non_finite_report_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a report used to be written with NaN, which is not JSON
+        monkeypatch.setattr(loopflow.cli, "execute_scenario",
+                            lambda scenario, overrides: {"outputs": {"distance": float("nan")}})
+        out = tmp_path / "r.json"
+        assert run_scenario(write(tmp_path, "s.json", DPLUS_T2), str(out)) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_restart_beyond_the_point_cap_exits_3(self, tmp_path, capsys):
         huge = json.loads(json.dumps(RESTART_12))
@@ -260,6 +308,18 @@ class TestRunScenario:
         assert run_scenario(path, b) == 0
         ra, rb = strip_timing(load(a)), strip_timing(load(b))
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [FLOW_NOISY, RESTART_12, SWEEP], ids=["flow", "restart", "sweep"])
+    def test_execute_scenario_is_deterministic(self, doc):
+        # every report used to carry its own wall_time_ms
+        assert execute_scenario(doc) == execute_scenario(doc)
+
+    def test_only_the_written_report_is_timed(self, tmp_path):
+        out = str(tmp_path / "r.json")
+        assert run_scenario(write(tmp_path, "s.json", SWEEP), out) == 0
+        report = load(out)
+        assert report.pop("wall_time_ms") >= 0.0
+        assert report == strip_timing(report) == execute_scenario(SWEEP)
 
     def test_seed_changes_flow_start(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loopflow as lf
@@ -351,9 +351,10 @@ def assert_same_points(x, y):
 
 
 class TestArrayStep:
-    """Every backend's flows step a cover array; on a tie, a collision or a
-    cone an iteration takes the scalar kernels.  Either way the trace is the
-    scalar path's."""
+    """Every backend's iterated flows step a cover array; on a tie, a
+    collision or a cone an iteration takes the scalar kernels.  Either way the
+    trace is the scalar path's.  On tori the iterated flows are the oracle of
+    the closed form, so they are called directly there."""
 
     PARAMS = lf.FlowParams(max_iters=30)
 
@@ -370,8 +371,8 @@ class TestArrayStep:
         rng = np.random.default_rng(seed)
         base = rng.uniform(0, lf.effective_periods(space))
         x0 = noisy_config(space, UNIT_CLASSES[name][turn], k, base, rng, noise)
-        assert_trace_matches_scalar(lf.descend(x0, self.PARAMS))
-        assert_trace_matches_scalar(lf.birkhoff_shorten(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.flow._descend_iterated(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.flow._birkhoff_iterated(x0, self.PARAMS))
 
     @given(
         name=st.sampled_from(sorted(FLOW_SPACES)),
@@ -385,8 +386,8 @@ class TestArrayStep:
         rng = np.random.default_rng(seed)
         base = rng.uniform(0, lf.effective_periods(space))
         x0 = cut_start(space, CUT_CLASSES[name][turn], base, noise, rng)
-        assert_trace_matches_scalar(lf.descend(x0, self.PARAMS))
-        assert_trace_matches_scalar(lf.birkhoff_shorten(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.flow._descend_iterated(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.flow._birkhoff_iterated(x0, self.PARAMS))
 
     @given(
         family=st.sampled_from(sorted(DR_FAMILIES)),
@@ -497,3 +498,166 @@ class TestArrayStep:
         scalar = lf.exp_config(x, lf.ConfigTangent(tuple(direction)), 0.1)
         assert scalar.points[0].face == "top"
         assert_same_points(moved.config, scalar)
+
+
+NESTED = lf.Product([lf.Product([lf.FlatTorus([1.0]), lf.FlatTorus([0.75])]), lf.FlatTorus([1.25])])
+CLOSED_SPACES = dict(FLOW_SPACES, nested=NESTED)
+CLOSED_CLASSES = dict(UNIT_CLASSES, nested=UNIT_CLASSES["product"])
+RESTART_CLASSES = dict(CUT_CLASSES, nested=CUT_CLASSES["product"])
+
+
+class _Start(Exception):
+    pass
+
+
+def restart_start(g):
+    """The perturbed configuration ``restart_step`` descends from, or None."""
+
+    def capture(x, params):
+        raise _Start(x)
+
+    original, lf.flow.descend = lf.flow.descend, capture
+    try:
+        lf.restart_step(g)
+    except _Start as start:
+        return start.args[0]
+    finally:
+        lf.flow.descend = original
+    return None
+
+
+def assert_traces_agree(trace, oracle, periods):
+    """Same stop, nudges and records; values within 1e-12 of the first
+    energy, the first gradient norm and the largest period."""
+    assert (trace.status, trace.iterations, trace.nudges, trace.error) == (
+        oracle.status, oracle.iterations, oracle.nudges, oracle.error)
+    assert len(trace.energies) == len(oracle.energies) == len(oracle.grad_norms) == len(
+        trace.grad_norms)
+    for ours, theirs in ((trace.energies, oracle.energies), (trace.grad_norms, oracle.grad_norms)):
+        assert np.allclose(ours, theirs, rtol=0.0, atol=1e-12 * theirs[0])
+    assert_points_close(trace.final, oracle.final, periods)
+
+
+def assert_points_close(x, y, periods):
+    """Equal points within 1e-12 of the largest period, as periodic differences."""
+    a, b = (np.array([p.coords for p in z.points]) for z in (x, y))
+    assert np.abs((a - b) - periods * np.round((a - b) / periods)).max() <= 1e-12 * periods.max()
+
+
+class TestClosedForm:
+    """On tori and products of tori ``descend`` and ``birkhoff_shorten`` run
+    in closed form; the iterated flows are its oracle."""
+
+    @given(
+        name=st.sampled_from(sorted(CLOSED_SPACES)),
+        turn=st.integers(0, 3),
+        k=st.integers(4, 64),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(0.001, 0.05),
+        method=st.sampled_from(["descend", "birkhoff"]),
+        step=st.floats(0.01, 0.5),
+        record_every=st.integers(1, 3),
+        max_iters=st.sampled_from([1, 2, 17, 120, 5000]),
+        restart=st.booleans(),
+    )
+    # at step 1/2 this restart start's energy sits in the alternating mode, which
+    # a step keeps: descend backtracks, and the closed form must leave it so
+    @example(name="nested", turn=0, k=4, seed=10, noise=0.03125, method="descend", step=0.5,
+             record_every=1, max_iters=1, restart=True)
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_iterated_flow(self, name, turn, k, seed, noise, method, step,
+                                           record_every, max_iters, restart):
+        space = CLOSED_SPACES[name]
+        periods = lf.effective_periods(space)
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0, periods)
+        if restart:
+            klass = RESTART_CLASSES[name][turn % 3]
+            x0 = restart_start(lf.torus_class_geodesic(space, space.point(base), klass))
+            assume(x0 is not None)
+        else:
+            x0 = noisy_config(space, CLOSED_CLASSES[name][turn], k, base, rng, noise)
+        # the oracle takes about k^2 iterations to converge
+        params = lf.FlowParams(step=step, record_every=record_every,
+                               max_iters=max_iters if x0.k <= 24 else min(max_iters, 120))
+        closed = lf.flow._closed_form_flow(x0, params, step if method == "descend" else 0.25,
+                                           birkhoff=method == "birkhoff")
+        iterated = (lf.flow._descend_iterated if method == "descend"
+                    else lf.flow._birkhoff_iterated)(x0, params)
+        trace = (lf.descend if method == "descend" else lf.birkhoff_shorten)(x0, params)
+        if closed is None:
+            assert (trace.energies, trace.grad_norms) == (iterated.energies, iterated.grad_norms)
+        else:
+            assert_traces_agree(closed, iterated, periods)
+            assert_traces_agree(trace, iterated, periods)
+
+    def test_recorded_iterates_are_the_oracle_s(self, rng):
+        x0 = noisy_config(TREC, [1, 1], 8, [0.6, 0.1], rng, 0.03)
+        params = lf.FlowParams(max_iters=40, record_every=3)
+        trace, oracle = lf.descend(x0, params), lf.flow._descend_iterated(x0, params)
+        assert len(trace.iterates) == len(oracle.iterates) == 15  # 0, 3, ..., 39 and 40
+        assert trace.iterates[0] is x0
+        for x, y in zip(trace.iterates, oracle.iterates):
+            assert_points_close(x, y, TREC.periods)
+
+    def spy(self, monkeypatch):
+        calls = []
+        original = lf.flow._run_flow
+
+        def counting(x, *args):
+            calls.append(x)
+            return original(x, *args)
+
+        monkeypatch.setattr(lf.flow, "_run_flow", counting)
+        return calls
+
+    def test_noisy_torus_loop_takes_no_iterated_step(self, monkeypatch, rng):
+        calls = self.spy(monkeypatch)
+        x0 = noisy_config(T3, [1, 0, -1], 12, [0.2, 0.3, 0.4], rng, 0.02)
+        for flow in (lf.descend, lf.birkhoff_shorten):
+            assert flow(x0).status == "converged"
+        assert calls == []
+
+    def test_fallbacks_take_the_iterated_flow(self, monkeypatch, rng):
+        calls = self.spy(monkeypatch)
+        dr = dr_noisy_loop("horizontal", 8, 0.3, 0.6, rng, 0.02)
+        factor = lf.Product([lf.FlatTorus([1.25]), D21])
+        with_factor = lf.Configuration(factor, tuple(
+            factor.point(np.r_[1.25 * i / 8, p.coords], (None, p.face))
+            for i, p in enumerate(dr.points)))
+        noisy = noisy_config(TREC, [1, 1], 8, [0.6, 0.1], rng, 0.02)
+        cut = cut_start(TREC, [1, 2], [0.125, 0.0625], 0.0, None)
+        p = TREC.point([0.2, 0.2])
+        collided = lf.Configuration(TREC, (p, p, TREC.point([0.7, 0.4])))
+        cases = [(dr, lf.FlowParams()), (with_factor, lf.FlowParams()),
+                 (noisy, lf.FlowParams(step=0.6)), (cut, lf.FlowParams()),
+                 (collided, lf.FlowParams(max_iters=3))]
+        for x0, params in cases:
+            trace = lf.descend(x0, params)
+            assert calls == [x0]
+            assert trace.energies[-1] < trace.energies[0]
+            calls.clear()
+        assert lf.birkhoff_shorten(cut).status == "converged" and calls == [cut]
+        calls.clear()
+        # a, b, a, c: the first midpoint sweep puts two midpoints on a
+        a, b, c = TREC.point([0.2, 0.2]), TREC.point([0.4, 0.3]), TREC.point([0.5, 0.6])
+        back = lf.Configuration(TREC, (a, b, a, c))
+        assert lf.birkhoff_shorten(back, lf.FlowParams(max_iters=3)).nudges
+        assert calls == [back]
+        calls.clear()
+        lf.descend(back)
+        assert calls == []
+
+    def test_a_failed_check_restarts_the_iterated_flow_from_the_start(self, monkeypatch):
+        # float energies cannot strictly decrease forever: the closed form
+        # meets a step that does not decrease, where descend would backtrack
+        calls = self.spy(monkeypatch)
+        _, x = straight_config(TREC, [1, 0], 3, [0.2, 0.5])
+        pts = list(x.points)
+        pts[0] = TREC.point(pts[0].coords + np.array([1e-11, 0.0]))
+        x0 = lf.Configuration(TREC, tuple(pts))
+        params = lf.FlowParams(grad_tol=1e-300, energy_tol=0.0, max_iters=500)
+        assert lf.flow._closed_form_flow(x0, params, params.step) is None
+        trace = lf.descend(x0, params)
+        assert calls == [x0]
+        assert trace.status == "error"
