@@ -158,9 +158,13 @@ def brute_extremes(x, tol=1e-9, magnitude_tol=1e-12):
     from loopflow.geodesics import geodesic_from_chain
 
     cands = lf.candidate_gradients(x, tol)
-    best = min(cands, key=lambda c: (-c.magnitude, tuple(c.stacked())))
-    ties = [c for c in cands if c.magnitude >= best.magnitude - magnitude_tol]
-    ties.sort(key=lambda c: tuple(c.stacked()))
+    top = max(c.magnitude for c in cands)
+
+    def ties_within(band):
+        return sorted((c for c in cands if c.magnitude >= top - band), key=lambda c: tuple(c.stacked()))
+
+    ties = ties_within(magnitude_tol)
+    best = ties_within(1e-12)[0]  # ``gradient_like``: the first of its default band
     has_zero = any(c.magnitude <= tol for c in cands)
     seglists = lf.segment_geodesics(x, tol)
     geod = None
@@ -278,3 +282,33 @@ def scalar_check_variation(var, s, shifted, tol=1e-9):
             raise lf.GeometryError(f"variation is not a synchronized flow at s={s}, t={t}")
         if var.perpendicular and abs(float(var.field @ lf.velocity_at(g, t))) > max(tol, 1e-8):
             raise lf.ValidationError("variation field is not perpendicular to the loop")
+
+
+# -- the scalar flow as reference for the loop representation ----------------------
+
+
+def scalar_loop_closure(space, base, direction, length, closure_tol=1e-9):
+    """The flow-based closure check of a segment loop: flowing from the base
+    along the unit direction for the length must return to the base with the
+    same chart velocity.  Raises ``ClosureError`` when it does not, and
+    ``DegenerateTrajectoryError`` through a cone point."""
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    end, vel, _ = space.flow(lf.Tangent(base, direction), length)
+    if space.distance(base, end) > closure_tol:
+        raise lf.ClosureError("loop does not return to its base point")
+    if float(np.linalg.norm(vel - direction)) > closure_tol:
+        raise lf.ClosureError("loop returns with a different direction")
+
+
+def scalar_loop_point(g, t):
+    """The loop point at t and the chart velocity there, by the scalar flow
+    from the base along the chart direction (a torus class's is its
+    displacement over its length)."""
+    if g.klass is None:
+        direction = g.direction
+    else:
+        direction = g.klass * lf.effective_periods(g.space) / g.length
+    frac = (t % (2.0 * math.pi)) / (2.0 * math.pi)
+    end, vel, _ = g.space.flow(lf.Tangent(g.base, direction), frac * g.length)
+    return end, vel

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_loop_arcs, scalar_check_variation
+from conftest import dense_loop_arcs, scalar_check_variation, scalar_loop_closure, scalar_loop_point
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -342,6 +342,67 @@ class TestAgainstDenseReference:
             assert dense_loop_arcs(g, index)[0] >= -1e-9
             if index > 2:
                 assert dense_loop_arcs(g, index - 1)[0] < -1e-9
+
+
+
+@st.composite
+def nearly_closed_loops(draw):
+    """(space, base, direction, length) of a segment loop whose cover
+    displacement is a lattice vector plus noise of norm 0 to 1e-6, on the
+    doubled rectangle (both faces), T2 and the mixed product."""
+    name = draw(st.sampled_from(["DR", "T2", "mixed"]))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    noise = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=3, max_size=3)), dtype=float)
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-10, 2e-9, 1e-8, 1e-6]))
+    klass = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    assume(any(klass[1:]))
+    if name == "T2":
+        space, base = TREC, TREC.point([draw(unit), 0.75 * draw(unit)])
+        disp, chart = np.array(klass[1:]) * TREC.periods, np.ones(2)
+    else:
+        face = draw(st.sampled_from(["top", "bottom"]))
+        xy = [2.0 * draw(unit), draw(unit)]
+        disp = np.array(klass[1:]) * D21.cover_periods
+        chart = np.array([1.0, -1.0 if face == "bottom" else 1.0])
+        space, base = D21, D21.point(xy, face)
+        if name == "mixed":
+            disp, chart = np.concatenate([[1.25 * klass[0]], disp]), np.concatenate([[1.0], chart])
+            space, base = MIXED, MIXED.point([1.25 * draw(unit)] + xy, (None, face))
+    noise = noise[:space.dim]
+    if np.any(noise):
+        noise = scale * noise / np.linalg.norm(noise)
+    # no verdict sits within rounding of the closure tolerance
+    assume(abs(float(np.linalg.norm(noise)) - 1e-9) > 1e-12)
+    disp = chart * (disp + noise)  # the chart direction at the base
+    length = float(np.linalg.norm(disp))
+    return space, base, disp / length, length
+
+
+def _kind(check, *args):
+    """None when ``check`` returns, else the type of error it raised."""
+    try:
+        check(*args)
+    except lf.GeometryError as exc:
+        return type(exc)
+    return None
+
+
+class TestAgainstTheScalarFlow:
+    """The cover representation against the scalar flow it replaced."""
+
+    @given(straight_loops(), st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=150, deadline=None)
+    def test_points_and_velocities_match_the_scalar_flow(self, g, t):
+        expected, vel = scalar_loop_point(g, t)
+        p = lf.point_at(g, t)
+        assert g.space.distance(p, expected) <= 1e-12
+        if p.face == expected.face:  # not an edge point rounded onto the other face
+            assert np.abs(lf.velocity_at(g, t) - vel).max() <= 1e-12
+
+    @given(nearly_closed_loops())
+    @settings(max_examples=300, deadline=None)
+    def test_closure_verdict_matches_the_scalar_flow(self, case):
+        assert _kind(lf.segment_loop_geodesic, *case) == _kind(scalar_loop_closure, *case)
 
 
 def _outcome(check, *args):
