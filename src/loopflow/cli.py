@@ -48,7 +48,6 @@ from .flow import (
     FlowTrace,
     birkhoff_shorten,
     descend,
-    restart_step,
     restart_until_stable,
 )
 from .geodesics import (
@@ -322,10 +321,7 @@ def _run_restart(space, inputs, params, seed):
     geod = geodesic_from_dict(_require(inputs, "geodesic", "inputs"), space, "inputs.geodesic")
     rounds = _checked(inputs, "rounds", "inputs", count_rule(1), 1)
     fp = _flow_params(params)
-    if rounds == 1:
-        reports = [restart_step(geod, fp, float(params["tol"]))]
-    else:
-        reports = restart_until_stable(geod, fp, rounds, float(params["tol"]))
+    reports = restart_until_stable(geod, fp, rounds, float(params["tol"]))
     return {"rounds": len(reports), "reports": [_restart_to_dict(r) for r in reports]}
 
 

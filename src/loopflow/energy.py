@@ -335,14 +335,13 @@ def _extreme_candidates(
 
 
 def gradient_like(x: Configuration, tol: float = DEFAULT_TOL) -> CandidateGradient:
-    """A candidate gradient of maximal magnitude.
-
-    Ties are broken by lexicographic order on the stacked components, so the
-    result is deterministic.  Costs O(k m^3) for m minimizers per segment,
-    plus the near-maximal tuples themselves.
+    """A candidate gradient of maximal magnitude: the first of
+    ``gradient_like_all``, so candidates tied within its ``magnitude_tol``
+    are ordered by their stacked components, not by the last bits of their
+    magnitudes.  Costs O(k m^3) for m minimizers per segment, plus the
+    near-maximal tuples themselves.
     """
-    cands = [c for _, c in _extreme_candidates(x, tol, True)]
-    return min(cands, key=lambda c: (-c.magnitude, tuple(c.stacked())))
+    return gradient_like_all(x, tol)[0]
 
 
 def gradient_like_all(

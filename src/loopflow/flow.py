@@ -471,27 +471,16 @@ def restart_until_stable(
     max_rounds: int = 8,
     tol: float = DEFAULT_TOL,
 ) -> list[RestartReport]:
-    """Iterate restarts until the minimizing index stops decreasing, the
-    class repeats twice, the flow collapses, or ``max_rounds`` is reached."""
+    """Iterate restarts from each round's limit until the minimizing index
+    stops decreasing, a round ends other than ``improved`` (nothing to
+    restart, a collapse or an error), or ``max_rounds`` is reached.  One
+    round is ``[restart_step(g, params, tol)]``."""
     reports: list[RestartReport] = []
     current = g
-    unchanged_streak = 0
     for _ in range(max_rounds):
         report = restart_step(current, params, tol)
         reports.append(report)
-        if report.status in ("no_restart", "collapsed", "error"):
+        if report.status != "improved":
             break
-        if report.after_minind >= report.before_minind:
-            break
-        if (
-            current.kind == "torus_class"
-            and report.after.kind == "torus_class"
-            and np.array_equal(current.klass, report.after.klass)
-        ):
-            unchanged_streak += 1
-            if unchanged_streak >= 2:
-                break
-        else:
-            unchanged_streak = 0
         current = report.after
     return reports

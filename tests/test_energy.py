@@ -274,6 +274,19 @@ class TestGradientLike:
         assert len(lf.candidate_gradients(x)) == 1
         assert g.magnitude > 0.1
 
+    def test_rounding_does_not_break_ties(self):
+        # an antipodal pair: its top candidates tie up to rounding, and which
+        # float magnitude is larger moves with each ulp of q
+        p = TREC.point([0.14415961271963373, 0.7114870853529329])
+        q = np.array([0.6441596127196337, 0.3364870853529329])
+        choices = set()
+        for shift in range(-3, 4):
+            x = lf.Configuration(TREC, (p, TREC.point(q + [shift * np.spacing(q[0]), 0.0])))
+            g = lf.gradient_like(x)
+            assert g.choice == lf.gradient_like_all(x)[0].choice
+            choices.add(g.choice)
+        assert len(choices) == 1
+
     def test_maximality_invariant(self, rng):
         for _ in range(10):
             x = lf.configuration(TREC, rng.uniform(0, 0.7, size=(4, 2)))
