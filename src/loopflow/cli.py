@@ -54,7 +54,7 @@ from .geodesics import (
     TWO_PI,
     VariationSpec,
     _arcs,
-    _points_batch,
+    _charts,
     geodesic_from_dict,
     geodesic_to_dict,
     minimizing_index,
@@ -171,7 +171,7 @@ def _curve_samples(geod, count: int = 256) -> list[list[float]]:
     """Rows ``[t, x0, ..., x_{n-1}]`` of the loop at ``count`` + 1 parameters,
     the last repeating the first point."""
     j = np.arange(count + 1)
-    coords, _ = _points_batch(geod, TWO_PI * (j % count) / count)
+    coords, _ = _charts(geod, TWO_PI * (j % count) / count)
     return np.column_stack((TWO_PI * j / count, coords)).tolist()
 
 

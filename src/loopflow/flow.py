@@ -40,10 +40,10 @@ from .errors import (
 from .geodesics import (
     TWO_PI,
     ClosedGeodesic,
+    _points,
     geodesic_from_chain,
     max_cut_pair,
     minimizing_index,
-    point_at,
 )
 from .spaces import DEFAULT_TOL, Tangent, effective_periods, wrap
 
@@ -443,8 +443,7 @@ def restart_step(
             f"restart at index {k} exceeds MAX_RESTART_POINTS = {MAX_RESTART_POINTS}")
     cut = max_cut_pair(g, k, tol)
     t0 = 0.0 if cut is None else cut.t
-    pts = tuple(point_at(g, t0 + TWO_PI * i / k) for i in range(k))
-    x = Configuration(g.space, pts)
+    x = Configuration(g.space, _points(g, t0 + TWO_PI * np.arange(k) / k))
     grad = gradient_like(x, tol)
     if grad.magnitude <= params.grad_tol:
         return RestartReport(g, k, x, grad, "no_restart")

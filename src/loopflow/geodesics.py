@@ -6,16 +6,21 @@ then minimizes on longer subarcs.  A geodesic is "openly" 1/k when, in
 addition, no pair of points at arc distance L/k is a cut pair, so the
 minimization survives small perturbations.
 
-Every backend is a flat quotient, so all of this is exact, not sampled.  The
-loop lifts to a straight line in the cover and closes by a lattice vector D.
+Every backend is a flat quotient, so all of this is exact, not sampled.  A
+loop is held as what it is in the flat cover: a start row c and a closing
+displacement D, the straight line c + u D for u in [0, 1), which closes by
+a deck translation.  Its points are ``Space.step_batch`` steps u D from c.
 Each translation lift of a pair at arc L/k is D/k plus a lattice vector,
 whatever the pair.  On the doubled rectangle, a reflection lift sweeps a
 line as the pair moves, so its shortest length is the distance of that line
 from the lattice, the same at every k.  The index, the openly test and the
 cut pair therefore cost O(1) per product factor (``Space.loop_arcs``).
 
-Two descriptors are supported: a homotopy class on (products of) flat tori,
-and a generic base + direction + length loop verified to close up.
+A scenario names a loop in one of two ways: a homotopy class on (products
+of) flat tori, D = class * periods, or a base point, a unit chart direction
+and a length L, D = frame * L * direction, checked to close: D must lie
+within ``closure_tol`` of the cover's translation lattice and the line must
+clear the cone points.  A variation of the loop moves c and keeps D.
 """
 
 from __future__ import annotations
@@ -26,7 +31,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClosureError, GeometryError, SpaceSupportError, ValidationError, count_rule
+from .errors import (
+    ClosureError,
+    DegenerateTrajectoryError,
+    GeometryError,
+    SpaceSupportError,
+    ValidationError,
+    count_rule,
+)
 from .spaces import (
     DEFAULT_TOL,
     Point,
@@ -36,7 +48,6 @@ from .spaces import (
     point_from_dict,
     point_to_dict,
     space_from_dict,
-    wrap,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -48,17 +59,32 @@ MAX_CLASS_ENTRY = 10**6
 
 @dataclass(frozen=True, eq=False)
 class ClosedGeodesic:
-    """A constant-speed closed geodesic parameterized over [0, 2*pi)."""
+    """A constant-speed closed geodesic parameterized over [0, 2*pi): the
+    line from the cover row ``start`` along the closing cover displacement
+    ``disp``, of length ``length``.  ``base`` is the point of ``start`` and
+    ``direction`` the unit chart velocity there; ``klass`` is the torus
+    class a scenario named the loop by, if any."""
 
     space: Space
     base: Point
     length: float
-    klass: np.ndarray | None = None      # integer class vector (torus backends)
-    direction: np.ndarray | None = None  # unit chart direction at the base
+    direction: np.ndarray
+    start: np.ndarray
+    disp: np.ndarray
+    klass: np.ndarray | None = None
 
     @property
     def kind(self) -> str:
         return "torus_class" if self.klass is not None else "segment_loop"
+
+
+def _step(space: Space, C: np.ndarray, D: np.ndarray) -> tuple:
+    """``Space.step_batch`` of the cover rows C along the cover displacements
+    D; raises ``DegenerateTrajectoryError`` when one runs through a cone."""
+    out = space.step_batch(C, D)
+    if out is None:
+        raise DegenerateTrajectoryError("trajectory passes through a cone point")
+    return out
 
 
 def torus_class_geodesic(space: Space, base: Point, klass) -> ClosedGeodesic:
@@ -72,8 +98,9 @@ def torus_class_geodesic(space: Space, base: Point, klass) -> ClosedGeodesic:
     if not np.any(klass):
         raise ValidationError("the zero class is a point, not a closed geodesic")
     space._check_point(base, "geodesic base")
-    length = float(np.linalg.norm(klass * periods))
-    return ClosedGeodesic(space=space, base=base, length=length, klass=klass)
+    disp = klass * periods
+    length = float(np.linalg.norm(disp))
+    return ClosedGeodesic(space, base, length, disp / length, space._embed(base), disp, klass)
 
 
 def segment_loop_geodesic(
@@ -83,59 +110,62 @@ def segment_loop_geodesic(
     length: float,
     closure_tol: float = CLOSURE_TOL,
 ) -> ClosedGeodesic:
-    """A closed geodesic given by flowing from a base point; verified to close."""
+    """The straight loop of the given length from a base point along a chart
+    direction; it must clear the cone points and close by a deck translation
+    within ``closure_tol``."""
     direction = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(direction))
     if norm == 0.0 or length <= 0.0:
         raise ValidationError("segment loop needs a nonzero direction and positive length")
-    direction = direction / norm
     space._check_point(base, "geodesic base")
-    # the flow also rejects trajectories through a cone point
-    end, vel, _ = space.flow(Tangent(base, direction), length)
-    if space.distance(base, end) > closure_tol:
-        raise ClosureError("loop does not return to its base point")
-    if float(np.linalg.norm(vel - direction)) > closure_tol:
-        raise ClosureError("loop returns with a different direction")
-    return ClosedGeodesic(space=space, base=base, length=length, direction=direction)
+    direction = space.tangent(base, direction / norm).vec
+    frame = space._frame(base)
+    disp = length * (direction if frame is None else frame * direction)
+    start = space._embed(base)
+    _step(space, start[None], disp[None])
+    if space.lattice_gap(disp) > closure_tol:
+        raise ClosureError("loop does not close by a deck translation")
+    return ClosedGeodesic(space, base, length, direction, start, disp)
+
+
+def _steps(g: ClosedGeodesic, ts) -> np.ndarray:
+    """Rows u D, u = (t mod 2 pi) / 2 pi: the cover displacements from the
+    start row of the loop points at parameters ts."""
+    return ((np.asarray(ts) % TWO_PI) / TWO_PI)[:, None] * g.disp
+
+
+def _cover(g: ClosedGeodesic, ts) -> tuple:
+    """``step_batch`` rows and frames of the loop points at parameters ts."""
+    steps = _steps(g, ts)
+    return _step(g.space, np.broadcast_to(g.start, steps.shape), steps)
+
+
+def _points(g: ClosedGeodesic, ts) -> tuple[Point, ...]:
+    """The loop points at parameters ts."""
+    return g.space.points_batch(_cover(g, ts)[0])
+
+
+def _charts(g: ClosedGeodesic, ts) -> tuple:
+    """Rows of the chart coordinates and of the unit chart velocities of the
+    loop points at parameters ts."""
+    C = g.start + _steps(g, ts)
+    return g.space.chart_batch(C, np.broadcast_to(g.disp / g.length, C.shape))
 
 
 def point_at(g: ClosedGeodesic, t: float) -> Point:
     """The loop point at parameter t (reduced mod 2*pi)."""
-    frac = (t % TWO_PI) / TWO_PI
-    if g.kind == "torus_class":
-        periods = effective_periods(g.space)
-        return g.space.point(g.base.coords + frac * (g.klass * periods))
-    return g.space.exp_map(Tangent(g.base, g.direction), frac * g.length)
+    return _points(g, [t])[0]
 
 
 def velocity_at(g: ClosedGeodesic, t: float) -> np.ndarray:
     """Unit velocity in the chart of ``point_at(g, t)``."""
-    if g.kind == "torus_class":
-        periods = effective_periods(g.space)
-        return (g.klass * periods) / g.length
-    frac = (t % TWO_PI) / TWO_PI
-    _, vel, _ = g.space.flow(Tangent(g.base, g.direction), frac * g.length)
-    return vel
-
-
-def _points_batch(g: ClosedGeodesic, ts: np.ndarray):
-    """(coords, faces) arrays of loop points at the given parameters."""
-    frac = (ts % TWO_PI) / TWO_PI
-    if g.kind == "torus_class":
-        periods = effective_periods(g.space)
-        disp = g.klass * periods
-        return wrap(g.base.coords[None, :] + frac[:, None] * disp[None, :], periods), None
-    return g.space.line_batch(g.base, g.direction, frac * g.length)
+    return _charts(g, [t])[1][0]
 
 
 def _arcs(g: ClosedGeodesic, k: int, tol: float):
     if k < 2:
         raise ValidationError("k must be at least 2")
-    if g.kind == "torus_class":
-        disp = g.klass * effective_periods(g.space)
-    else:
-        disp = g.length * g.direction
-    return g.space.loop_arcs(g.base, disp, k, tol)
+    return g.space.loop_arcs(g.start, g.disp, k, tol)
 
 
 def is_k_geodesic(g: ClosedGeodesic, k: int, tol: float = DEFAULT_TOL) -> bool:
@@ -159,7 +189,7 @@ def minimizing_index(g: ClosedGeodesic, tol: float = DEFAULT_TOL) -> int:
 
 def torus_class_minind(g: ClosedGeodesic) -> int:
     """Closed form for torus classes: twice the largest |class entry|."""
-    if g.kind != "torus_class":
+    if g.klass is None:
         raise SpaceSupportError("closed form applies to torus_class descriptors only")
     return 2 * int(np.max(np.abs(g.klass)))
 
@@ -184,37 +214,6 @@ class CutPair(NamedTuple):
     distance: float
 
 
-def _cover_batch(g: ClosedGeodesic, ts: np.ndarray):
-    """Cover rows and chart frames (None on tori) of the loop points at the
-    given parameters; None when their faces are per product factor."""
-    pts, faces = _points_batch(g, ts)
-    if faces is None:
-        return pts, None
-    if isinstance(faces, list):
-        return None
-    pts[:, 1] = np.where(faces, 2.0 * g.space.b - pts[:, 1], pts[:, 1])
-    return pts, np.where(faces[:, None], (1.0, -1.0), 1.0)
-
-
-def _pair_distance(g: ClosedGeodesic, t: float, k: int) -> float:
-    """Distance of the loop points at t and t + 2*pi/k, as the squares of the
-    nearest cover lift sum up (on the doubled rectangle, over both sheets)."""
-    ts = np.array([t, t + TWO_PI / k])
-    cover = _cover_batch(g, ts)
-    if cover is None:
-        return g.space.distance(point_at(g, ts[0]), point_at(g, ts[1]))
-    pts, frames = cover
-    if frames is None:
-        periods = effective_periods(g.space)
-        deltas = (pts[1] - pts[0],)
-    else:
-        periods = g.space.cover_periods
-        deltas = (pts[1] - pts[0], -pts[1] - pts[0])
-    return min(
-        float(np.sqrt(((d - periods * np.round(d / periods)) ** 2).sum())) for d in deltas
-    )
-
-
 def max_cut_pair(g: ClosedGeodesic, k: int, tol: float = DEFAULT_TOL) -> CutPair | None:
     """The cut pair at arc separation 2*pi/k with the smallest parameter.
 
@@ -226,7 +225,7 @@ def max_cut_pair(g: ClosedGeodesic, k: int, tol: float = DEFAULT_TOL) -> CutPair
     if cut is None:
         return None
     t = TWO_PI * cut
-    return CutPair(t=t, distance=_pair_distance(g, t, k))
+    return CutPair(t=t, distance=g.space.distance(*_points(g, [t, t + TWO_PI / k])))
 
 
 def geodesic_from_chain(x, chain, tol: float = 1e-6) -> ClosedGeodesic:
@@ -274,13 +273,17 @@ class VariationSpec:
 
 
 def variation_geodesic(var: VariationSpec, s: float) -> ClosedGeodesic:
-    """The loop of the family at parameter s (verified to be a closed geodesic)."""
+    """The loop of the family at parameter s: the start row moves by s times
+    the field (a chart vector at the base, taken to the cover), and the
+    closing displacement stays.  Raises ``DegenerateTrajectoryError`` when
+    the start's path or the moved loop runs through a cone point."""
     g = var.geodesic
-    if g.kind == "torus_class":
-        base = g.space.exp_map(Tangent(g.base, var.field), s)
-        return torus_class_geodesic(g.space, base, g.klass)
-    base, _, carried = g.space.flow(Tangent(g.base, var.field), s, carry=(g.direction,))
-    return segment_loop_geodesic(g.space, base, carried[0], g.length)
+    step = g.space.chart_batch(g.start[None], s * var.field[None])[1][0]
+    start = g.start + step
+    rows, _ = _step(g.space, np.array([g.start, start]), np.array([step, g.disp]))
+    direction = g.space.chart_batch(start[None], (g.disp / g.length)[None])[1][0]
+    return ClosedGeodesic(g.space, g.space.points_batch(rows[:1])[0], g.length, direction,
+                          start, g.disp, g.klass)
 
 
 # the loop parameters at which a variation is checked to be a synchronized flow
@@ -295,9 +298,8 @@ def _check_variation(var: VariationSpec, s: float, shifted: ClosedGeodesic, tol:
     if cover is not None:
         rows, frames = cover
         moved = g.space.step_batch(rows, s * var.field if frames is None else frames * (s * var.field))
-        target = _cover_batch(shifted, _CHECK_TS)
-        if moved is not None and target is not None and (
-                g.space.segment_batch(moved[0], target[0], tol)[2] <= max(tol, 1e-8)).all():
+        if moved is not None and (g.space.segment_batch(
+                moved[0], _cover(shifted, _CHECK_TS)[0], tol)[2] <= max(tol, 1e-8)).all():
             return
     for t in _CHECK_TS:
         expected = g.space.exp_map(Tangent(point_at(g, t), var.field), s)
@@ -309,17 +311,13 @@ def _check_variation(var: VariationSpec, s: float, shifted: ClosedGeodesic, tol:
 
 
 def _check_cover(var: VariationSpec, tol: float):
-    """The central loop's ``_cover_batch`` at _CHECK_TS, or None when the field
+    """The central loop's ``_cover`` at _CHECK_TS, or None when the field
     fails the perpendicularity test, which does not depend on s and so runs
     once here; the point by point check then raises where it always did."""
     g = var.geodesic
-    try:
-        if var.perpendicular and any(abs(float(var.field @ velocity_at(g, t))) > max(tol, 1e-8)
-                                     for t in _CHECK_TS):
-            return None
-    except GeometryError:
+    if var.perpendicular and (np.abs(_charts(g, _CHECK_TS)[1] @ var.field) > max(tol, 1e-8)).any():
         return None
-    return _cover_batch(g, _CHECK_TS)
+    return _cover(g, _CHECK_TS)
 
 
 def _index_flags(g: ClosedGeodesic, k0: int, tol: float) -> tuple[int, bool]:
@@ -367,8 +365,9 @@ def variation_minind_profile(
     k0 = k_hint or minimizing_index(g, tol)
     cut = max_cut_pair(g, k0, tol)
     cover = _check_cover(var, tol)
-    # a torus loop's translates share its index and openness (loop_arcs ignores the base)
-    flags = _index_flags(g, k0, tol) if g.kind == "torus_class" else None
+    # on (products of) tori loop_arcs ignores the start row, so every
+    # translate of the loop shares its index and openness
+    flags = _index_flags(g, k0, tol) if effective_periods(g.space) is not None else None
     rows = []
     for s in np.linspace(-var.s_max, var.s_max, var.steps):
         shifted = variation_geodesic(var, float(s))
@@ -379,8 +378,7 @@ def variation_minind_profile(
     dplus = None
     forward_jump = None
     if cut is not None:
-        p = point_at(g, cut.t)
-        q = point_at(g, cut.t + TWO_PI / k0)
+        p, q = _points(g, [cut.t, cut.t + TWO_PI / k0])
         dplus = dplus_distance(g.space, p, q, var.field, var.field, tol)
         if dplus < 0:
             positives = [r for r in rows if r.s > 0]

@@ -147,10 +147,17 @@ class Space:
         """
         return len(self.minimizing_geodesics(p, q, tol, allow_degenerate=True)) >= 2
 
-    def loop_arcs(self, base: Point, disp: np.ndarray, k: int, tol: float = DEFAULT_TOL):
+    def loop_arcs(self, start: np.ndarray, disp: np.ndarray, k: int, tol: float = DEFAULT_TOL):
         """Closed-form ``LoopArcs`` of the straight closed loop that leaves
-        ``base`` along ``disp`` (the closing displacement, a chart vector of
-        length L) and returns to it with the same velocity.  O(1) in k."""
+        the cover row ``start`` along the cover displacement ``disp`` (of
+        length L, a deck translation) and so returns to it with the same
+        velocity.  O(1) in k."""
+        raise NotImplementedError
+
+    def lattice_gap(self, disp: np.ndarray) -> float:
+        """Distance of the cover displacement ``disp`` from the nearest deck
+        translation: 0 exactly when a straight loop along it closes with its
+        own velocity."""
         raise NotImplementedError
 
     def transport(self, p: Point, q: Point, lift) -> np.ndarray:
@@ -187,12 +194,14 @@ class Space:
 
     # -- array step ------------------------------------------------------------
     # The flows keep a configuration as (k, dim) cover rows (``_embed``) and
-    # their chart frames (``_frame``; None on tori).  Each backend gives ``segment_batch(A,
-    # B, tol) -> (e0, e1, length, unique)``, ``minimizing_geodesics`` of the
-    # rows (A[j], B[j]) in the cover frame where ``unique`` certifies one
-    # minimizer; ``step_batch(C, D)``, the rows and frames that ``flow``
-    # reaches along cover displacements D, or None near a cone; and
-    # ``points_batch``, the points of rows that ``step_batch`` gave.
+    # their chart frames (``_frame``; None on tori), and a closed geodesic is
+    # a cover row and a closing cover displacement.  Each backend gives
+    # ``segment_batch(A, B, tol) -> (e0, e1, length, unique)``,
+    # ``minimizing_geodesics`` of the rows (A[j], B[j]) in the cover frame
+    # where ``unique`` certifies one minimizer; ``step_batch(C, D)``, the rows
+    # and frames that ``flow`` reaches along cover displacements D, or None
+    # near a cone; ``points_batch``, the points of rows that ``step_batch``
+    # gave; and ``chart_batch``, charts of rows anywhere in the cover.
 
     def _embed(self, p: Point) -> np.ndarray:
         """The cover row of a point."""
@@ -202,6 +211,13 @@ class Space:
         """The diagonal of the point's chart matrix, chart = frame * cover
         vector; None where every chart matrix is the identity."""
         return None
+
+    def chart_batch(self, C: np.ndarray, V: np.ndarray) -> tuple:
+        """For cover rows C, any lifts of their points: the points' chart
+        coordinates, and the cover vectors V[j] at C[j] as chart vectors at
+        the points (a deck transform's linear part, then the chart's).  That
+        map is a diagonal of signs, so it also takes chart vectors back."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -283,7 +299,7 @@ class FlatTorus(Space):
             if length <= reach:
                 yield lam, disp, length
 
-    def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
+    def loop_arcs(self, start, disp, k, tol=DEFAULT_TOL):
         # every translation lift of every pair at arc L/k is disp/k plus a
         # lattice vector, so one row decides them all and the base is moot;
         # the row is reduced exactly when k >= 2 * max |class entry|
@@ -294,6 +310,9 @@ class FlatTorus(Space):
         tie = bool(self._flip_ties(delta, length, tol).any())
         minimizing = length >= float(np.linalg.norm(disp)) / k - tol
         return LoopArcs(floor, minimizing, 0.0 if tie else None)
+
+    def lattice_gap(self, disp):
+        return float(np.linalg.norm(disp - self.periods * np.round(disp / self.periods)))
 
     def transport(self, p, q, lift):
         return np.eye(self.dim)
@@ -348,8 +367,8 @@ class FlatTorus(Space):
     def points_batch(self, C) -> tuple:
         return tuple(map(Point, C))
 
-    def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
-        return wrap(base.coords[None, :] + lengths[:, None] * direction[None, :], self.periods), None
+    def chart_batch(self, C, V):
+        return wrap(C, self.periods), V * 1.0
 
     def to_dict(self) -> dict:
         return {"type": "flat_torus", "periods": [float(a) for a in self.periods]}
@@ -465,17 +484,15 @@ class DoubledRectangle(Space):
                                     degenerate=degenerate))
         return segs
 
-    def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
-        c = self._embed(base)
-        cover = self._chart_matrix(base.face) @ disp
-        arcs = self._cover.loop_arcs(base, cover, k, tol)
+    def loop_arcs(self, c, disp, k, tol=DEFAULT_TOL):
+        arcs = self._cover.loop_arcs(c, disp, k, tol)
         # The reflection lift lam of the pair at s has length |lam - 2c -
         # (2s + r) e|; as s runs round the loop it sweeps the line through 2c
         # along e, so its minimum |<lam - 2c, nu>| is the same at every k.
-        length = float(np.linalg.norm(cover))
-        e = cover / length
+        length = float(np.linalg.norm(disp))
+        e = disp / length
         nu = np.array([-e[1], e[0]])
-        m0, m1 = (int(v) for v in np.round(cover / self.cover_periods))
+        m0, m1 = (int(v) for v in np.round(disp / self.cover_periods))
         g = math.gcd(m0, m1)
         if g == 0:  # the loop stays within rounding of one point (a product factor)
             return arcs
@@ -496,6 +513,10 @@ class DoubledRectangle(Space):
                 cuts.append(((u - r) / 2.0) % (length / (2.0 * g)) / length)
         floor = max(arcs.floor, math.ceil(length / (min(gaps) + tol)))
         return LoopArcs(floor, arcs.minimizing and min(gaps) >= r - tol, min(cuts, default=None))
+
+    def lattice_gap(self, disp):
+        # a reflection would return the loop with its velocity reversed
+        return self._cover.lattice_gap(disp)
 
     def transport(self, p, q, lift):
         # a chart vector at q is M_q w in the cover; the reflection sheet's
@@ -556,6 +577,11 @@ class DoubledRectangle(Space):
     def _frame(self, p: Point) -> np.ndarray:
         return _FLIP if p.face == BOTTOM else np.ones(2)
 
+    def chart_batch(self, C, V):
+        u, sign = self._fold(C)
+        V = V * sign[:, None] * np.where(u[:, 1:] > self.b, _FLIP, 1.0)
+        return self._chart(u)[0], V
+
     def segment_batch(self, A, B, tol: float):
         """``FlatTorus.segment_batch`` on the cover rows of both sheets, the
         translation sheet ``B - A`` and the reflection sheet ``-B - A``, and
@@ -583,12 +609,6 @@ class DoubledRectangle(Space):
     def points_batch(self, C) -> tuple:
         coords, is_bottom = self._chart(C.copy())
         return tuple(Point(c, BOTTOM if b else TOP) for c, b in zip(coords, is_bottom))
-
-    def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
-        """(chart coords, is_bottom) of the points at ``lengths`` along the line."""
-        start = self._embed(base)
-        cover_dir = self._chart_matrix(base.face) @ direction
-        return self._chart(self._fold(start[None, :] + lengths[:, None] * cover_dir[None, :])[0])
 
     def to_dict(self) -> dict:
         return {"type": "doubled_rectangle", "a": self.a, "b": self.b}
@@ -716,16 +736,19 @@ class Product(Space):
             tuple(np.concatenate(slot) for slot in outcarry),
         )
 
-    def loop_arcs(self, base, disp, k, tol=DEFAULT_TOL):
+    def loop_arcs(self, start, disp, k, tol=DEFAULT_TOL):
         # a product pair is minimizing exactly when every factor pair is, and
         # a cut pair when any factor pair is; a factor the loop does not move
         # in constrains nothing
-        parts = [f.loop_arcs(p, d, k, tol)
-                 for f, p, d in zip(self.factors, self._split_point(base), self._split(disp))
+        parts = [f.loop_arcs(c, d, k, tol)
+                 for f, c, d in zip(self.factors, self._split(start), self._split(disp))
                  if np.any(d)]
         cuts = [a.cut for a in parts if a.cut is not None]
         return LoopArcs(max(a.floor for a in parts), all(a.minimizing for a in parts),
                         min(cuts, default=None))
+
+    def lattice_gap(self, disp):
+        return math.hypot(*(f.lattice_gap(d) for f, d in zip(self.factors, self._split(disp))))
 
     def min_scale(self) -> float:
         return min(f.min_scale() for f in self.factors)
@@ -737,6 +760,10 @@ class Product(Space):
         parts = self._split_point(p)
         return self._join_frames([f._frame(q) for f, q in zip(self.factors, parts)],
                                  [q.coords for q in parts])
+
+    def chart_batch(self, C, V):
+        parts = [f.chart_batch(c, v) for f, c, v in zip(self.factors, self._split(C), self._split(V))]
+        return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
     @staticmethod
     def _join_frames(frames, rows):
@@ -770,15 +797,6 @@ class Product(Space):
     def points_batch(self, C) -> tuple:
         cols = [f.points_batch(c) for f, c in zip(self.factors, self._split(C))]
         return tuple(self._join(list(row)) for row in zip(*cols))
-
-    def line_batch(self, base: Point, direction: np.ndarray, lengths: np.ndarray):
-        """Factor ``line_batch``es side by side; faces, when a factor has
-        them, as a list with one entry per factor."""
-        parts = [f.line_batch(p, direction[lo:hi], lengths)
-                 for f, p, (lo, hi) in zip(self.factors, self._split_point(base), self._offsets)]
-        faces = [fc for _, fc in parts]
-        coords = np.concatenate([c for c, _ in parts], axis=1)
-        return coords, None if all(fc is None for fc in faces) else faces
 
     def to_dict(self) -> dict:
         return {"type": "product", "factors": [f.to_dict() for f in self.factors]}

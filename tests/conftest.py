@@ -290,14 +290,24 @@ def scalar_check_variation(var, s, shifted, tol=1e-9):
 def scalar_loop_closure(space, base, direction, length, closure_tol=1e-9):
     """The flow-based closure check of a segment loop: flowing from the base
     along the unit direction for the length must return to the base with the
-    same chart velocity.  Raises ``ClosureError`` when it does not, and
-    ``DegenerateTrajectoryError`` through a cone point."""
+    same velocity.  Raises ``ClosureError`` when it does not, and
+    ``DegenerateTrajectoryError`` through a cone point.
+
+    The velocities are compared a further flow of h = (sqrt 5 - 2) * length
+    along, from the base and from the end point.  An edge point of the
+    doubled rectangle has two face charts, and a loop that comes back to
+    one a hair short of its edge ends in the other chart, its chart
+    velocity mirrored; compared at the base, a loop that closes would fail.
+    """
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     end, vel, _ = space.flow(lf.Tangent(base, direction), length)
     if space.distance(base, end) > closure_tol:
         raise lf.ClosureError("loop does not return to its base point")
-    if float(np.linalg.norm(vel - direction)) > closure_tol:
+    h = (math.sqrt(5.0) - 2.0) * length
+    _, u, _ = space.flow(lf.Tangent(base, direction), h)
+    _, v, _ = space.flow(lf.Tangent(end, vel), h)
+    if float(np.linalg.norm(u - v)) > closure_tol:
         raise lf.ClosureError("loop returns with a different direction")
 
 

@@ -1,7 +1,9 @@
 """Closed geodesics: evaluation, minimizing index, cut pairs, variations."""
 
 import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ from hypothesis import strategies as st
 
 import loopflow as lf
 from loopflow import geodesics
+from loopflow.cli import execute_scenario
+from loopflow.spaces import CONE_TOL
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "queries"
 
 T11 = lf.FlatTorus([1.0, 1.0])
 T21 = lf.FlatTorus([2.0, 1.0])
@@ -195,6 +201,19 @@ class TestVariationProfile:
         for r in prof.rows:
             assert r.minind == (3 if r.s > 0 else 2)
 
+    def test_bottom_face_loop_moves_along_its_chart_field(self):
+        # the start row moves by the field taken as a cover vector, which
+        # flips its y component on the bottom face
+        base = D21.point([0.5, 0.3], "bottom")
+        g = lf.segment_loop_geodesic(D21, base, [1.0, 0.0], 4.0)
+        var = lf.VariationSpec(geodesic=g, field=np.array([0.0, 1.0]), s_max=0.1, steps=3,
+                               perpendicular=True)
+        moved = lf.variation_geodesic(var, 0.1).base
+        expected = D21.exp_map(D21.tangent(base, [0.0, 1.0]), 0.1)
+        assert np.array_equal(moved.coords, expected.coords) and moved.face == expected.face
+        # a horizontal loop at height y needs a larger index nearer the edge
+        assert [r.minind for r in lf.variation_minind_profile(var).rows] == [10, 7, 5]
+
     def test_variation_through_cone_point_fails(self):
         var = lf.VariationSpec(
             geodesic=over_under_loop(), field=np.array([-1.0, 0.0]), s_max=0.5, steps=5
@@ -345,6 +364,18 @@ class TestAgainstDenseReference:
 
 
 
+
+class TestCutDistance:
+    @given(straight_loops(), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_space_distance_of_the_pair(self, g, above):
+        k = lf.minimizing_index(g) + above
+        cut = lf.max_cut_pair(g, k)
+        assume(cut is not None)
+        p, q = lf.point_at(g, cut.t), lf.point_at(g, cut.t + 2.0 * math.pi / k)
+        assert cut.distance == g.space.distance(p, q)
+
+
 @st.composite
 def nearly_closed_loops(draw):
     """(space, base, direction, length) of a segment loop whose cover
@@ -402,7 +433,21 @@ class TestAgainstTheScalarFlow:
     @given(nearly_closed_loops())
     @settings(max_examples=300, deadline=None)
     def test_closure_verdict_matches_the_scalar_flow(self, case):
-        assert _kind(lf.segment_loop_geodesic, *case) == _kind(scalar_loop_closure, *case)
+        verdict, scalar = _kind(lf.segment_loop_geodesic, *case), _kind(scalar_loop_closure, *case)
+        if verdict is not scalar:
+            # ``step_batch`` keeps a line 2 CONE_TOL clear of the cones, the
+            # scalar flow CONE_TOL; between the two only the verdicts differ
+            assert verdict is lf.DegenerateTrajectoryError and _in_cone_band(*case)
+
+
+def _in_cone_band(space, base, direction, length):
+    """Does the loop's line pass between CONE_TOL and 2 CONE_TOL of a cone?"""
+    if space is TREC:
+        return False
+    start = space._embed(base)[-2:][None]
+    disp = length * (space._frame(base) * direction)[-2:][None]
+    return bool(D21._near_cone(start, disp, 2.0 * CONE_TOL)[0]
+                and not D21._near_cone(start, disp, CONE_TOL)[0])
 
 
 def _outcome(check, *args):
@@ -470,12 +515,34 @@ class TestVariationCheck:
         monkeypatch.setattr(geodesics, "point_at", scalar)
         geodesics._check_variation(var, 0.07, shifted, 1e-9, cover)
 
-    def test_per_factor_faces_take_the_point_by_point_check(self):
+    def test_probe_flows_do_not_grow_with_steps(self, monkeypatch):
+        doc = json.loads((GOLDEN / "probe_dr.json").read_text(encoding="utf-8"))
+        flow, calls = lf.DoubledRectangle.flow, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return flow(self, *args, **kwargs)
+
+        monkeypatch.setattr(lf.DoubledRectangle, "flow", counted)
+        counts = []
+        for steps in (4, 64):  # 5 or 65 would put an s on the cone crossing at s = -0.05
+            doc["inputs"]["variation"]["steps"] = steps
+            calls.clear()
+            assert len(execute_scenario(doc)["outputs"]["profile"]) == steps
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_per_factor_faces_take_the_array_check(self, monkeypatch):
         base = MIXED.point([0.3, 0.5, 0.25], (None, "top"))
         g = lf.segment_loop_geodesic(MIXED, base, [0.0, 0.0, 1.0], 2.0)
         var = lf.VariationSpec(geodesic=g, field=np.array([0.5, -1.0, 0.0]), s_max=0.1, steps=5,
                                perpendicular=True)
-        assert geodesics._check_cover(var, 1e-9) is None
+        assert geodesics._check_cover(var, 1e-9) is not None
+
+        def scalar(*args):
+            raise AssertionError("the point by point check ran")
+
+        monkeypatch.setattr(geodesics, "point_at", scalar)
         # the doubled-rectangle factor slides as in test_doubled_rectangle_slide_transition
         assert [r.minind for r in lf.variation_minind_profile(var).rows] == [2, 2, 2, 3, 3]
 

@@ -335,16 +335,16 @@ class TestDoubledRectangle:
         assert bottom.face == "top"
         assert D21.distance(top, bottom) == 0.0
 
-    def test_line_batch_puts_edge_points_on_the_top_face(self):
-        # from (0.5, 0.3) on the bottom face along (-1, 0): at 0.5 the line
+    def test_loop_points_put_edge_points_on_the_top_face(self):
+        # from (0.5, 0.3) on the bottom face along (-1, 0): at 0.5 the loop
         # meets the vertical edge x = 0, which ``point`` puts on the top face
         base = D21.point([0.5, 0.3], "bottom")
-        lengths = np.array([0.25, 0.5])
-        coords, is_bottom = D21.line_batch(base, np.array([-1.0, 0.0]), lengths)
-        for row, bottom, s in zip(coords, is_bottom, lengths):
+        g = lf.segment_loop_geodesic(D21, base, [-1.0, 0.0], 4.0)
+        for s in (0.25, 0.5):
             p = D21.exp_map(D21.tangent(base, [-1.0, 0.0]), s)
-            assert np.array_equal(row, p.coords) and bottom == (p.face == "bottom")
-        assert not is_bottom[1]
+            q = lf.point_at(g, 2.0 * math.pi * s / 4.0)
+            assert np.array_equal(q.coords, p.coords) and q.face == p.face
+        assert p.face == "top"
 
 
     @given(
