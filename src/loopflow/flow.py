@@ -6,6 +6,15 @@ halving otherwise).  At a closed geodesic the smooth gradient vanishes, but
 if the loop carries cut pairs the gradient-like vector does not: perturbing
 against it and reconnecting minimally restarts the flow, and on flat tori
 the restarted flow never worsens the minimizing index.
+
+``descend`` (at ``step`` <= 1/2) and ``birkhoff_shorten`` run in closed form
+on every flat backend where the start chain, developed through the deck
+signs of its segments, closes by a translation: always on tori and products
+of tori, and on a doubled rectangle (or a product with one) when the start
+crosses the reflection sheet an even number of times.  Every iterate must
+pass the iterated flow's checks; anything else (a reflection round the loop,
+a tie, a cone, a collision nudge, a larger step) runs the iterated flow,
+which is also the closed form's test oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .geodesics import (
     max_cut_pair,
     minimizing_index,
 )
-from .spaces import DEFAULT_TOL, Tangent, effective_periods, wrap
+from .spaces import DEFAULT_TOL, Tangent, effective_periods
 
 MIN_STEP = 1e-14
 COLLIDE_TOL = 1e-12
@@ -155,9 +164,10 @@ class _Iterate:
     def __init__(self, space, tol, cover, frame, config=None):
         self.space, self.tol, self._config = space, tol, config
         self.cover, self.frame = cover, frame
-        self.e0, e1, self.lengths, self.unique = space.segment_batch(
+        self.e0, sign, self.lengths, self.unique = space.segment_batch(
             cover, np.concatenate((cover[1:], cover[:1])), tol
         )
+        e1 = sign * self.e0
         # chart velocities: v0 at each point, v1 at the next
         self.v0, self.v1 = self.e0, e1
         if frame is not None:
@@ -260,65 +270,110 @@ def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
     )
 
 
+def _roll(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
+    """``np.roll(a, shift, axis)`` for shift +-1, by slicing: several times
+    faster on the small arrays of a flow."""
+    lead = (slice(None),) * axis
+    head, tail = a[lead + (slice(-shift, None),)], a[lead + (slice(None, -shift),)]
+    return np.concatenate((head, tail), axis=axis)
+
+
 def _closed_form_flow(x0: Configuration, params: FlowParams, h: float,
                       birkhoff: bool = False) -> FlowTrace | None:
-    """The flow of step h on a torus or a product of tori in closed form, or
-    None where it does not apply.  A step maps the nearest-lift displacements
-    d_i = x_{i+1} - x_i to h d_{i-1} + (1 - 2h) d_i + h d_{i+1}, diagonal in the
-    DFT basis.  Every iterate must pass the iterated path's checks: each d_i
-    (and Birkhoff half-sweep chord) is a certified unique nearest lift longer
-    than COLLIDE_TOL, and the energy falls beyond rounding (Birkhoff: rises <= 1e-15)."""
-    space, periods = x0.space, effective_periods(x0.space)
-    if periods is None or not MIN_STEP <= h <= 0.5:
+    """The flow of step h in closed form, or None where it does not apply.
+
+    The start chain is developed into the cover: segment i's nearest-lift
+    cover displacement, turned by the deck signs (``segment_batch``'s
+    ``sign``; -1 per coordinate on a doubled rectangle's reflection sheet)
+    of the segments before it, gives displacements d_i of one broken line.
+    When the signs of all k segments multiply to +1 in every coordinate the
+    line closes by a translation, and a step maps d_i to h d_{i-1} + (1 - 2h)
+    d_i + h d_{i+1}, diagonal in the DFT basis.  Every iterate must pass the
+    iterated path's checks, made on its developed rows: each d_i (and each
+    Birkhoff half-sweep chord) is the displacement of its pair's certified
+    unique minimizer, longer than COLLIDE_TOL, clear of every cone; and the
+    energy falls beyond rounding (Birkhoff: rises <= 1e-15).  The moves need
+    no cone check of their own: a certified segment x_{i-1} x_i beats the
+    lift of x_i reflected through any cone c, so (x_{i-1} - c).(x_i - c) > 0;
+    with the same at x_{i+1}, c lies outside the triangle x_{i-1} x_i x_{i+1},
+    which holds the move of x_i for h <= 1/2."""
+    space, tol = x0.space, params.tol
+    if not MIN_STEP <= h <= 0.5:
         return None
+    # a torus has no cone and its deck transforms are translations: no pair
+    # needs the developed rows, and every segment's sign is +1
+    torus = effective_periods(space) is not None
     cover = np.array([space._embed(p) for p in x0.points])
-    d0 = np.roll(cover, -1, axis=0) - cover
-    d0 -= periods * np.round(d0 / periods)
-    k, dim = d0.shape
+    ahead = _roll(cover, -1)
+    k, dim = cover.shape
+    sign = np.ones_like(cover) if torus else space.segment_batch(cover, ahead, tol)[1]
+    turn = np.cumprod(np.concatenate((np.ones((1, dim)), sign)), axis=0)
+    if (turn[-1] < 0).any():  # the line closes by a reflection
+        return None
+    d0 = sign * ahead - cover
+    d0 = turn[:-1] * (d0 - space.cover_periods * np.round(d0 / space.cover_periods))
     spec = np.fft.rfft(d0, axis=0)
     lam = 1.0 - 4.0 * h * np.sin(np.pi * np.arange(len(spec)) / k) ** 2
 
-    def certified(d):
-        # convex steps keep |d| below half a period: its nearest lift is d itself
-        flat = d.reshape(-1, dim)
-        _, _, length, unique = space.segment_batch(np.zeros_like(flat), flat, params.tol)
+    def developed(first, d):
+        # rows (B, k, n) of the iterates with displacements d whose point 0 is at first
+        steps = np.concatenate((np.zeros_like(d[:, :1]), np.cumsum(d[:, :-1], axis=1)), axis=1)
+        return first[:, None] + steps
+
+    def certified(x, d):
+        """Per iterate: is every d_i, from its row of x, the displacement
+        (within tol) of its pair's one minimizer, longer than COLLIDE_TOL?
+        And the lengths (B, k).  On a torus (x None) pairs start at 0."""
+        D = d.reshape(-1, dim)
+        if x is None:  # convex steps keep |d| below half a period: its nearest lift is d itself
+            e0, _, length, unique = space.segment_batch(np.zeros_like(D), D, tol)
+        else:
+            A = x.reshape(-1, dim)
+            e0, _, length, unique = space.segment_batch(A, A + D, tol)
+            unique &= (np.abs(e0 * length[:, None] - D) <= tol).all(axis=1)  # NaN compares False
         ok = (unique & (length > COLLIDE_TOL)).reshape(d.shape[:2]).all(axis=1)
         return ok, length.reshape(d.shape[:2])
 
     def build(i):
+        if not ns[i]:
+            return x0
         d = np.fft.irfft(lam[:, None] ** ns[i] * spec, k, axis=0)
-        rows = firsts[i] + np.concatenate((np.zeros((1, dim)), np.cumsum(d[:-1], axis=0)))
-        return Configuration(space, space.points_batch(wrap(rows, periods))) if ns[i] else x0
+        x = developed(firsts[i:i + 1], d[None])[0]
+        rows, _ = space.step_batch(x, np.zeros_like(x))  # the points' canonical rows
+        return Configuration(space, space.points_batch(rows))
 
     # |g^n| <= rho^n |g^0| sizes the first block; a block holds about 1 MB at most
-    rho, g0 = np.abs(lam[1:]).max(initial=0.0), np.linalg.norm(np.roll(d0, 1, axis=0) - d0)
+    rho, g0 = np.abs(lam[1:]).max(initial=0.0), np.linalg.norm(_roll(d0, 1) - d0)
     size = 2 + max(0, int(np.log(params.grad_tol / g0) / np.log(rho))) if g0 > 0 < rho < 1 else 2
     cap, n0, walked, rec = max(1, (1 << 17) // (k * dim) - 1), 0, np.zeros((1, dim)), []
     while True:
         ns = np.arange(n0, min(n0 + min(size, cap), params.max_iters) + 1)
         d = np.fft.irfft(lam[None, :, None] ** ns[:, None, None] * spec, k, axis=1)
         d[0] = d0 if n0 == 0 else d[0]
-        ok, length = certified(d)
+        g = _roll(d, 1, axis=1) - d
+        # point 0 moves against its gradient rows; the others follow from d
+        walked = walked[-1] + np.concatenate((np.zeros((1, dim)), np.cumsum(g[:-1, 0], axis=0)))
+        first = cover[0] - h * walked
+        x = None if torus else developed(first, d)
+        ok, length = certified(x, d)
         energy = k * (length * length).sum(axis=1)
-        g = np.roll(d, 1, axis=1) - d
         mag = np.sqrt(np.einsum("bkn,bkn->b", g, g))
         settled = mag[:-1] <= params.grad_tol
         rise = energy[1:] - energy[:-1]
         # a decrease within rounding is left to the iterated path's backtracking
         rose = rise > 1e-15 if birkhoff else rise >= -1e-13 * energy[:-1]
         if birkhoff:  # and the half-sweep chords
-            rose |= ~certified((d[:-1] + np.roll(d[:-1], -1, axis=1)) / 2.0)[0]
+            mids = None if x is None else x[:-1] + d[:-1] / 2.0
+            rose |= ~certified(mids, (d[:-1] + _roll(d[:-1], -1, axis=1)) / 2.0)[0]
         bad = ~ok[:-1] | ~settled & rose
         flat = ~settled & (-rise <= params.energy_tol)
-        # point 0 moves against its gradient rows; the others follow from d
-        walked = walked[-1] + np.concatenate((np.zeros((1, dim)), np.cumsum(g[:-1, 0], axis=0)))
         stops = np.flatnonzero(bad | settled | flat | (ns[:-1] + 1 == params.max_iters))
         last = stops[0] if stops.size else len(ns) - 2
         keep = np.flatnonzero(ns[:last + 1] % params.record_every == 0)
         end = last if settled[last] else last + 1
         if stops.size and end not in keep:
             keep = np.append(keep, end)
-        rec.append((ns[keep], energy[keep], mag[keep], cover[0] - h * walked[keep]))
+        rec.append((ns[keep], energy[keep], mag[keep], first[keep]))
         if stops.size:
             break
         n0, size = ns[-1], 2 * size
@@ -337,13 +392,17 @@ def descend(x0: Configuration, params: FlowParams = FlowParams()) -> FlowTrace:
     Stops when the gradient-like magnitude falls below ``grad_tol``, when an
     accepted step decreases the energy by at most ``energy_tol``, or at
     ``max_iters``.  The step underflowing without any decrease is an error.
-    On tori it runs in closed form where it can (``_closed_form_flow``).
+    At ``step`` <= 1/2 it runs in closed form where the developed start
+    chain closes by a translation and every iterate is certified
+    (``_closed_form_flow``): on tori, and on doubled-rectangle starts that
+    cross the reflection sheet an even number of times.
     """
     return _closed_form_flow(x0, params, params.step) or _descend_iterated(x0, params)
 
 
 def _descend_iterated(x0: Configuration, params: FlowParams) -> FlowTrace:
-    """``descend`` one step at a time: what it runs off tori, and its oracle."""
+    """``descend`` one step at a time: what it runs where the closed form
+    does not apply, and its oracle."""
     step = params.step
 
     def advance(it, grad, energy, n, nudges):
@@ -365,14 +424,17 @@ def birkhoff_shorten(x0: Configuration, params: FlowParams = FlowParams()) -> Fl
     Each sweep replaces the configuration by the chord midpoints of its
     connecting minimizing geodesics, twice, so indices realign.  Both phases
     are energy non-increasing: a new chord is at most the two half-chords it
-    replaces, and squares average convexly.  On tori the two sweeps are one
+    replaces, and squares average convexly.  Where the developed start chain
+    closes by a translation (tori, and doubled-rectangle starts that cross
+    the reflection sheet an even number of times) the two sweeps are one
     ``descend`` step of size 1/4, run in closed form where they can.
     """
     return _closed_form_flow(x0, params, 0.25, birkhoff=True) or _birkhoff_iterated(x0, params)
 
 
 def _birkhoff_iterated(x0: Configuration, params: FlowParams) -> FlowTrace:
-    """``birkhoff_shorten`` one sweep at a time: what it runs off tori, and its oracle."""
+    """``birkhoff_shorten`` one sweep at a time: what it runs where the
+    closed form does not apply, and its oracle."""
 
     def advance(it, grad, energy, n, nudges):
         # rotate so x'_i sits between the chords around the original x_i

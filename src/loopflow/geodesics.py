@@ -32,11 +32,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    POSITIVE,
     ClosureError,
     DegenerateTrajectoryError,
     GeometryError,
     SpaceSupportError,
     ValidationError,
+    _real,
+    check_rule,
     count_rule,
 )
 from .spaces import (
@@ -433,5 +436,13 @@ def geodesic_from_dict(
     if data["kind"] == "segment_loop":
         if "direction" not in data or "length" not in data:
             raise ValidationError(f"{where}.direction / {where}.length: missing")
-        return segment_loop_geodesic(space, base, data["direction"], float(data["length"]))
+        check_rule(POSITIVE, data["length"], f"{where}.length")
+        direction = data["direction"]
+        if not (isinstance(direction, list) and len(direction) == space.dim
+                and all(map(_real, direction))
+                and 0.0 < sum(float(v) * float(v) for v in direction) < math.inf):
+            raise ValidationError(f"{where}.direction: expected a list of {space.dim} finite "
+                                  f"numbers whose squares sum to a finite nonzero number, "
+                                  f"got {direction!r}")
+        return segment_loop_geodesic(space, base, direction, float(data["length"]))
     raise ValidationError(f"{where}.kind: unknown variant {data['kind']!r}")

@@ -27,6 +27,7 @@ or caches, so values are freely shareable across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,6 +48,13 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 CONE_TOL = 1e-9
+# a line (a flow, an array step, a loop) must clear every cone by this much;
+# twice CONE_TOL, so that a segment it certifies is never a degenerate minimizer
+CONE_CLEARANCE = 2.0 * CONE_TOL
+# below this length a squared length is subnormal or near it, so lengths of
+# shorter vectors are taken after scaling by the exact power of two _UNSCALE
+TINY = 1e-150
+_UNSCALE = 2.0**600
 # absolute slack, per unit of period, added to the doubled tie tolerance when
 # ``segment_batch`` certifies a unique minimizer, and to the edges of the lift
 # box of ``FlatTorus._lifts``; far above float rounding
@@ -196,12 +204,13 @@ class Space:
     # The flows keep a configuration as (k, dim) cover rows (``_embed``) and
     # their chart frames (``_frame``; None on tori), and a closed geodesic is
     # a cover row and a closing cover displacement.  Each backend gives
-    # ``segment_batch(A, B, tol) -> (e0, e1, length, unique)``,
+    # ``segment_batch(A, B, tol) -> (e0, sign, length, unique)``,
     # ``minimizing_geodesics`` of the rows (A[j], B[j]) in the cover frame
     # where ``unique`` certifies one minimizer; ``step_batch(C, D)``, the rows
     # and frames that ``flow`` reaches along cover displacements D, or None
     # near a cone; ``points_batch``, the points of rows that ``step_batch``
     # gave; and ``chart_batch``, charts of rows anywhere in the cover.
+    # ``cover_periods`` are the periods of the cover torus, per coordinate.
 
     def _embed(self, p: Point) -> np.ndarray:
         """The cover row of a point."""
@@ -229,6 +238,32 @@ class Space:
             )
 
 
+def _length(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a float vector, which is ``sqrt(v.dot(v))``, at a
+    third of its cost; exact to rounding also below TINY."""
+    length = math.sqrt(v.dot(v))
+    if length >= TINY:
+        return length
+    v = v * _UNSCALE
+    return math.sqrt(v.dot(v)) / _UNSCALE
+
+
+def _lengths(V: np.ndarray) -> np.ndarray:
+    """The ``_length`` of every row, with ``np.vecdot``, which adds like
+    ``np.linalg.norm``; ``(V*V).sum`` rounds differently in some rows."""
+    length = np.sqrt(np.vecdot(V, V))
+    tiny = length < TINY
+    if tiny.any():
+        length[tiny] = np.sqrt(np.vecdot(V[tiny] * _UNSCALE, V[tiny] * _UNSCALE)) / _UNSCALE
+    return length
+
+
+def _any_column(M: np.ndarray) -> np.ndarray:
+    """``M.any(axis=1)``, column by column: numpy reduces a short last axis
+    many times slower than it combines whole columns."""
+    return functools.reduce(np.logical_or, M.T)
+
+
 def wrap(coords: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """Coordinates reduced into [0, period) per column."""
     out = coords - periods * np.floor(coords / periods)
@@ -245,7 +280,7 @@ class FlatTorus(Space):
             raise ValidationError("flat torus needs a nonempty list of periods")
         if not np.all(periods > 0):
             raise ValidationError("flat torus periods must be strictly positive")
-        self.periods = periods
+        self.periods = self.cover_periods = periods
         self.dim = periods.size
 
     def point(self, coords, face=None) -> Point:
@@ -259,7 +294,7 @@ class FlatTorus(Space):
         self._check_point(q)
         delta = q.coords - p.coords
         delta = delta - self.periods * np.round(delta / self.periods)
-        return float(np.linalg.norm(delta))
+        return _length(delta)
 
     def minimizing_geodesics(self, p, q, tol=DEFAULT_TOL, allow_degenerate=False):
         self._check_point(p)
@@ -295,7 +330,7 @@ class FlatTorus(Space):
             raise ResourceLimitError(f"lattice enumeration too large ({count} candidates)")
         for lam in itertools.product(*ranges):
             disp = delta + np.asarray(lam, dtype=float) * self.periods
-            length = float(np.linalg.norm(disp))
+            length = _length(disp)
             if length <= reach:
                 yield lam, disp, length
 
@@ -342,24 +377,24 @@ class FlatTorus(Space):
     def segment_batch(self, A, B, tol: float):
         """Array form of ``minimizing_geodesics`` for the pairs (A[j], B[j]).
 
-        Returns the unit velocity ``v0`` (N, dim), the same array as ``v1``,
-        and the ``length`` (N,) of the nearest lift, bit for bit as the
-        scalar minimizer gives them, and ``unique`` (N,): the pair certainly
-        has no other minimizer within ``tol``.  The certificate is the
-        per-coordinate flip test with a margin wider than ``tol``, so a pair
-        near the threshold is left uncertified rather than misjudged.  Lengths
-        use ``np.vecdot``, which adds like ``np.linalg.norm``; ``(D*D).sum``
-        rounds differently in some rows.  A pair at distance 0 (coincident,
-        or apart by less than the square root of the smallest float) gets a
-        non-finite velocity.
+        Returns the unit velocity ``v0`` (N, dim) at A and the ``length``
+        (N,) of the nearest lift, bit for bit as the scalar minimizer gives
+        them; the per-coordinate ``sign`` (N, dim) of the deck transform that
+        takes the lift's end to B, so that ``v1 = sign * v0`` at B (all ones
+        on a torus); and ``unique`` (N,): the pair certainly has no other
+        minimizer within ``tol``.  The certificate is the per-coordinate flip
+        test with a margin wider than ``tol``, so a pair near the threshold
+        is left uncertified rather than misjudged.  A pair at distance 0
+        (coincident points) gets a non-finite velocity.
         """
         delta = B - A
         delta = delta - self.periods * np.round(delta / self.periods)  # the nearest lift
-        length = np.sqrt(np.vecdot(delta, delta))
+        length = _lengths(delta)
         with np.errstate(invalid="ignore", divide="ignore"):
             v0 = delta / length[:, None]
         margin = 2.0 * tol + TIE_SLACK * self.periods
-        return v0, v0, length, ~self._flip_ties(delta, length[:, None], margin).any(axis=1)
+        return (v0, np.ones_like(v0), length,
+                ~_any_column(self._flip_ties(delta, length[:, None], margin)))
 
     def step_batch(self, C, D):
         return wrap(C + D, self.periods), None
@@ -422,6 +457,10 @@ class DoubledRectangle(Space):
 
     # -- cone points ----------------------------------------------------------
 
+    def _is_cone(self, p: Point) -> bool:
+        """Is p a rectangle corner (``point`` clamps corners exactly)?"""
+        return p.coords[0] in (0.0, self.a) and p.coords[1] in (0.0, self.b)
+
     def _near_cone(self, start: np.ndarray, disp: np.ndarray, within: float) -> np.ndarray:
         """Per row of the (N, 2) arrays: does the open segment start..start+disp
         pass within ``within`` of a cone lift (i a, j b) whose foot lies
@@ -464,7 +503,13 @@ class DoubledRectangle(Space):
         if d == 0.0:
             raise CoincidentPointsError("points are identified in the quotient")
         pc, qc = self._embed(p), self._embed(q)
-        found = [(sheet,) + lift for sheet, delta in enumerate((qc - pc, -qc - pc))
+        sheets = list(enumerate((qc - pc, -qc - pc)))
+        if self._is_cone(p) or self._is_cone(q):
+            # the reflection fixing the cone maps each sheet's lifts onto the
+            # other's: the same segments, listed once, from the sheet whose
+            # nearest lift is shorter (the translation sheet on a tie)
+            sheets = [sheets[d < self._cover.distance(Point(pc), Point(qc))]]
+        found = [(sheet,) + lift for sheet, delta in sheets
                  for lift in self._cover._lifts(delta, d + tol)]
         dmin = min(f[3] for f in found)
         found = [f for f in found if f[3] <= dmin + tol]
@@ -535,7 +580,7 @@ class DoubledRectangle(Space):
         start = self._embed(tan.base)
         cover_vec = self._chart_matrix(tan.base.face) @ vec
         disp = s * cover_vec
-        if self._near_cone(start[None], disp[None], CONE_TOL)[0]:
+        if self._near_cone(start[None], disp[None], CONE_CLEARANCE)[0]:
             raise DegenerateTrajectoryError("trajectory passes through a cone point")
         u, (sign,) = self._fold((start + disp)[None])
         (chart,), (bottom,) = self._chart(u)
@@ -585,10 +630,13 @@ class DoubledRectangle(Space):
     def segment_batch(self, A, B, tol: float):
         """``FlatTorus.segment_batch`` on the cover rows of both sheets, the
         translation sheet ``B - A`` and the reflection sheet ``-B - A``, and
-        the shorter one per row; ``e1`` is ``-e0`` on the reflection sheet.
+        the shorter one per row; ``sign`` is -1 on the reflection sheet.
         A row is certified when its sheet's nearest lift is unique, the other
         sheet is longer by more than the tie margin, and the segment clears
-        every cone by more than 2 CONE_TOL."""
+        every cone by CONE_CLEARANCE.  At a cone point the sheets hold the
+        same segments, so their tie does not count.  Rows may be any lifts
+        of the points: the deck group keeps lengths and the grid of cone
+        lifts."""
         n = len(A)
         e, _, d, u = self._cover.segment_batch(np.concatenate((A, A)), np.concatenate((B, -B)), tol)
         sheet = d[n:] < d[:n]
@@ -596,12 +644,15 @@ class DoubledRectangle(Space):
         length = np.where(sheet, d[n:], d[:n])
         margin = 2.0 * tol + TIE_SLACK * self.cover_periods.max()
         with np.errstate(invalid="ignore"):  # a coincident pair has no velocity
-            near = self._near_cone(A, e * length[:, None], 2.0 * CONE_TOL)
-        unique = np.where(sheet, u[n:], u[:n]) & (np.abs(d[n:] - d[:n]) > margin) & ~near
-        return e, np.where(sheet[:, None], -e, e), length, unique
+            near = self._near_cone(A, e * length[:, None], CONE_CLEARANCE)
+        off_grid = [_any_column(np.fmod(R, self._cell) != 0.0) for R in (A, B)]
+        cone = ~off_grid[0] | ~off_grid[1]  # an end at a cone point
+        apart = (np.abs(d[n:] - d[:n]) > margin) | cone
+        unique = np.where(sheet, u[n:], u[:n]) & apart & ~near
+        return e, np.where(sheet[:, None], -1.0, np.ones_like(e)), length, unique
 
     def step_batch(self, C, D):
-        if self._near_cone(C, D, 2.0 * CONE_TOL).any():
+        if self._near_cone(C, D, CONE_CLEARANCE).any():
             return None
         u, _ = self._fold(C + D)
         return u, np.where(u[:, 1:] > self.b, _FLIP, 1.0)
@@ -623,6 +674,7 @@ class Product(Space):
             raise ValidationError("a product needs at least two factors")
         self.factors = factors
         self.dim = sum(f.dim for f in factors)
+        self.cover_periods = np.concatenate([f.cover_periods for f in factors])
         self._offsets = []
         off = 0
         for f in factors:
@@ -782,9 +834,10 @@ class Product(Space):
         # float_power is libm pow, as the scalar ``length ** 2``; ** squares
         length = np.sqrt(sum(np.float_power(d, 2) for d in ds))
         with np.errstate(invalid="ignore", divide="ignore"):
-            v0, v1 = (np.concatenate([np.where(d > 0, d * p[i], 0.0) for p, d in zip(parts, ds)],
-                                     axis=1) / length for i in (0, 1))
-        return v0, v1, length[:, 0], np.logical_and.reduce([p[3] for p in parts])
+            v0 = np.concatenate([np.where(d > 0, d * p[0], 0.0) for p, d in zip(parts, ds)],
+                                axis=1) / length
+        sign = np.concatenate([p[1] for p in parts], axis=1)
+        return v0, sign, length[:, 0], np.logical_and.reduce([p[3] for p in parts])
 
     def step_batch(self, C, D):
         parts = [f.step_batch(c, d)

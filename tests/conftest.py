@@ -23,13 +23,20 @@ import loopflow as lf
 settings.register_profile("ci", derandomize=True, deadline=None)
 
 
+def length_of(disp) -> float:
+    """|disp| as the library takes it: ``np.linalg.norm``, but below 1e-150,
+    where the squares lose bits to underflow, of disp scaled by 2**600."""
+    length = float(np.linalg.norm(disp))
+    return length if length >= 1e-150 else float(np.linalg.norm(disp * 2.0**600)) / 2.0**600
+
+
 def brute_torus_distance(periods, p, q, radius=3):
     """Distance on a flat torus by scanning all lattice translates |lam| <= radius."""
     periods = np.asarray(periods, dtype=float)
     best = math.inf
     for lam in itertools.product(range(-radius, radius + 1), repeat=len(periods)):
         disp = np.asarray(q, dtype=float) - np.asarray(p, dtype=float) + np.array(lam) * periods
-        best = min(best, float(np.linalg.norm(disp)))
+        best = min(best, length_of(disp))
     return best
 
 
@@ -45,7 +52,7 @@ def brute_torus_minimizers(periods, p, q, tol=1e-9, radius=5):
     lifts = []
     for lam in itertools.product(range(-radius, radius + 1), repeat=len(periods)):
         disp = delta + np.asarray(lam, dtype=float) * periods
-        lifts.append((lam, disp, float(np.linalg.norm(disp))))
+        lifts.append((lam, disp, length_of(disp)))
     dmin = min(length for _, _, length in lifts)
     return [t for t in lifts if t[2] <= dmin + tol]
 
@@ -63,7 +70,7 @@ def brute_double_distance(a, b, p_coords, p_face, q_coords, q_face, radius=3):
     best = math.inf
     for sheet in (qc, -qc):
         for lam in itertools.product(range(-radius, radius + 1), repeat=2):
-            best = min(best, float(np.linalg.norm(sheet + np.array(lam) * P - pc)))
+            best = min(best, length_of(sheet + np.array(lam) * P - pc))
     return best
 
 
@@ -71,15 +78,22 @@ def brute_double_minimizers(a, b, p_coords, p_face, q_coords, q_face, tol=1e-9, 
     """Every lift ``(lift, disp, length)`` of the pair on both sheets of the
     cover, ``lift = (sheet, lam_x, lam_y)`` with |lam_i| <= radius, within tol
     of the shortest, sorted by lift; ``disp`` is the cover displacement.  The
-    default radius covers tol up to 4 on DoubledRectangle(2, 1)."""
+    default radius covers tol up to 4 on DoubledRectangle(2, 1).  When p or q
+    is a corner, the reflection fixing it maps each sheet's lifts onto the
+    other's: the same segments, so only the sheet with the shortest lift
+    counts (sheet 0 on a tie)."""
     P = np.array([2.0 * a, 2.0 * b])
     pc = double_embed(b, p_coords, p_face)
     qc = double_embed(b, q_coords, q_face)
+    corner = any(c[0] in (0.0, a) and c[1] in (0.0, b) for c in (p_coords, q_coords))
     lifts = []
     for sheet, delta in enumerate((qc - pc, -qc - pc)):
         for lam in itertools.product(range(-radius, radius + 1), repeat=2):
             disp = delta + np.asarray(lam, dtype=float) * P
-            lifts.append(((sheet,) + lam, disp, float(np.linalg.norm(disp))))
+            lifts.append(((sheet,) + lam, disp, length_of(disp)))
+    if corner:
+        keep = min(lifts, key=lambda t: (t[2], t[0][0]))[0][0]
+        lifts = [t for t in lifts if t[0][0] == keep]
     dmin = min(length for _, _, length in lifts)
     return [t for t in lifts if t[2] <= dmin + tol]
 

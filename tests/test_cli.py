@@ -57,6 +57,9 @@ SLIDE_PROBE = {
     },
 }
 
+MININD_DR = dict(SLIDE_PROBE, command="minind",
+                 inputs={"geodesic": SLIDE_PROBE["inputs"]["variation"]["geodesic"]})
+
 FLOW_NOISY = {
     "schema": 1,
     "space": TREC_SPACE,
@@ -219,6 +222,18 @@ class TestRunScenario:
             # a traceback
             (DPLUS_T2, ("inputs", "v"), [1.0, 0.0, 0.0]),
             (DPLUS_T2, ("inputs", "w"), [0.0, float("inf")]),
+            # a ValueError traceback, and "cannot convert float NaN to integer"
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "length"), "x"),
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "length"), float("nan")),
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "length"), 0.0),
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "direction"), [0.0, 0.0]),
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "direction"), [1.0, float("nan")]),
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "direction"), [1.0]),
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "direction"), [1e308, 1e308]),
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "direction"), "up"),
+            (SLIDE_PROBE, ("inputs", "variation", "geodesic", "direction"), [10**200, 0]),
+            (MININD_DR, ("inputs", "geodesic", "length"), "x"),
+            (MININD_DR, ("inputs", "geodesic", "direction"), [0.0, float("inf")]),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, doc, path, value):

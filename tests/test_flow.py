@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import loopflow as lf
 import loopflow.flow
+from loopflow.spaces import CONE_CLEARANCE
 
 TREC = lf.FlatTorus([1.0, 0.75])
 T3 = lf.FlatTorus([1.0, 0.8125, 1.375])
@@ -345,6 +346,22 @@ def dr_noisy_loop(family, k, u, v, rng, noise):
     return lf.Configuration(D21, tuple(pts))
 
 
+def dr_cone_loop(k, radius):
+    """k points round the cone (2, 1) of D21: half a turn in the cover, which
+    the point reflection closes, so one segment is on the reflection sheet and
+    the developed chain closes by a reflection (s = -1)."""
+    angles = math.pi * (1.0 + np.arange(k) / k)
+    rows = np.array([2.0, 1.0]) + radius * np.c_[np.cos(angles), np.sin(angles)]
+    return lf.Configuration(D21, D21.points_batch(D21._fold(rows)[0]))
+
+
+def with_torus_factor(x):
+    """The doubled-rectangle configuration x times k even points of a circle."""
+    space = lf.Product([lf.FlatTorus([1.25]), D21])
+    return lf.Configuration(space, tuple(space.point(np.r_[1.25 * i / x.k, p.coords], (None, p.face))
+                                         for i, p in enumerate(x.points)))
+
+
 def assert_same_points(x, y):
     for a, b in zip(x.points, y.points, strict=True):
         assert np.array_equal(a.coords, b.coords) and a.face == b.face
@@ -353,8 +370,8 @@ def assert_same_points(x, y):
 class TestArrayStep:
     """Every backend's iterated flows step a cover array; on a tie, a
     collision or a cone an iteration takes the scalar kernels.  Either way the
-    trace is the scalar path's.  On tori the iterated flows are the oracle of
-    the closed form, so they are called directly there."""
+    trace is the scalar path's.  The iterated flows are the oracle of the
+    closed form, so they are called directly where that applies."""
 
     PARAMS = lf.FlowParams(max_iters=30)
 
@@ -400,8 +417,8 @@ class TestArrayStep:
     @settings(max_examples=25, deadline=None)
     def test_doubled_rectangle_noisy_loops(self, family, k, u, v, seed, noise):
         x0 = dr_noisy_loop(family, k, u, v, np.random.default_rng(seed), noise)
-        assert_trace_matches_scalar(lf.descend(x0, self.PARAMS))
-        assert_trace_matches_scalar(lf.birkhoff_shorten(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.flow._descend_iterated(x0, self.PARAMS))
+        assert_trace_matches_scalar(lf.flow._birkhoff_iterated(x0, self.PARAMS))
 
     def test_product_with_a_doubled_rectangle_factor(self, rng):
         space = lf.Product([lf.FlatTorus([1.25]), D21])
@@ -409,7 +426,7 @@ class TestArrayStep:
         x0 = lf.Configuration(space, tuple(
             space.point(np.r_[1.25 * i / 8 + 0.01 * rng.standard_normal(), p.coords], (None, p.face))
             for i, p in enumerate(dr.points)))
-        for flow in (lf.descend, lf.birkhoff_shorten):
+        for flow in (lf.flow._descend_iterated, lf.flow._birkhoff_iterated):
             trace = flow(x0, self.PARAMS)
             assert trace.energies[-1] < trace.energies[0]
             assert_trace_matches_scalar(trace)
@@ -436,14 +453,14 @@ class TestArrayStep:
     def test_noisy_loop_stays_on_arrays(self, monkeypatch, rng):
         calls = self.spy(monkeypatch)
         x0 = noisy_config(TREC, [1, 1], 8, [0.6, 0.1], rng, 0.02)
-        trace = lf.descend(x0)
+        trace = lf.flow._descend_iterated(x0, lf.FlowParams())
         assert trace.status == "converged" and trace.iterations > 10
         assert calls == []
 
     def test_doubled_rectangle_noisy_loop_stays_on_arrays(self, monkeypatch, rng):
         calls = self.spy(monkeypatch)
         x0 = dr_noisy_loop("horizontal", 8, 0.4, 0.3, rng, 0.02)
-        trace = lf.descend(x0)
+        trace = lf.flow._descend_iterated(x0, lf.FlowParams())
         assert trace.status == "converged" and trace.iterations > 10
         assert calls == []
 
@@ -539,14 +556,19 @@ def assert_traces_agree(trace, oracle, periods):
 
 
 def assert_points_close(x, y, periods):
-    """Equal points within 1e-12 of the largest period, as periodic differences."""
+    """Equal points within 1e-12 of the largest period, as periodic
+    differences; with ``periods`` None, within 1e-12 by distance."""
+    if periods is None:
+        assert max(x.space.distance(p, q) for p, q in zip(x.points, y.points, strict=True)) <= 1e-12
+        return
     a, b = (np.array([p.coords for p in z.points]) for z in (x, y))
     assert np.abs((a - b) - periods * np.round((a - b) / periods)).max() <= 1e-12 * periods.max()
 
 
 class TestClosedForm:
-    """On tori and products of tori ``descend`` and ``birkhoff_shorten`` run
-    in closed form; the iterated flows are its oracle."""
+    """``descend`` and ``birkhoff_shorten`` run in closed form where the
+    developed start chain closes by a translation and every iterate is
+    certified; the iterated flows are its oracle."""
 
     @given(
         name=st.sampled_from(sorted(CLOSED_SPACES)),
@@ -618,13 +640,120 @@ class TestClosedForm:
             assert flow(x0).status == "converged"
         assert calls == []
 
+    @given(
+        family=st.sampled_from(sorted(DR_FAMILIES)),
+        k=st.integers(4, 16),
+        u=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(0.001, 0.03),
+        method=st.sampled_from(["descend", "birkhoff"]),
+        step=st.floats(0.01, 0.5),
+        record_every=st.integers(1, 3),
+        max_iters=st.sampled_from([1, 2, 17, 120, 5000]),
+        factor=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_doubled_rectangle_agrees_with_the_iterated_flow(self, family, k, u, v, seed, noise,
+                                                             method, step, record_every,
+                                                             max_iters, factor):
+        x0 = dr_noisy_loop(family, k, u, v, np.random.default_rng(seed), noise)
+        x0 = with_torus_factor(x0) if factor else x0
+        params = lf.FlowParams(step=step, record_every=record_every, max_iters=max_iters)
+        closed = lf.flow._closed_form_flow(x0, params, step if method == "descend" else 0.25,
+                                           birkhoff=method == "birkhoff")
+        iterated = (lf.flow._descend_iterated if method == "descend"
+                    else lf.flow._birkhoff_iterated)(x0, params)
+        trace = (lf.descend if method == "descend" else lf.birkhoff_shorten)(x0, params)
+        if closed is None:
+            assert (trace.energies, trace.grad_norms) == (iterated.energies, iterated.grad_norms)
+        else:
+            assert_traces_agree(closed, iterated, None)
+            assert_traces_agree(trace, iterated, None)
+
+    @given(
+        rows=st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 2.0)), min_size=3,
+                      max_size=8),
+        method=st.sampled_from(["descend", "birkhoff"]),
+        max_iters=st.sampled_from([30, 300]),
+    )
+    # the developed chain sweeps over a cone: a segment's minimizer moves to the
+    # reflection sheet, and the closed form must stop certifying it
+    @example(rows=[(1.2238427119769621, 1.6488784069816744), (1.964524828636553, 0.34861300821369734),
+                   (1.010476646974666, 1.058702674336082), (1.9260824819110223, 1.9735687802926298),
+                   (2.477843631891342, 1.2431719840338142), (0.20997095235204677, 0.135146064145794),
+                   (1.208753237211503, 0.8956419938350315)],
+             method="birkhoff", max_iters=30)
+    @settings(max_examples=40, deadline=None)
+    def test_doubled_rectangle_random_starts_agree(self, rows, method, max_iters):
+        x0 = lf.Configuration(D21, D21.points_batch(D21._fold(np.array(rows))[0]))
+        params = lf.FlowParams(max_iters=max_iters)
+        closed = lf.flow._closed_form_flow(x0, params, 0.2 if method == "descend" else 0.25,
+                                           birkhoff=method == "birkhoff")
+        if closed is not None:
+            iterated = (lf.flow._descend_iterated if method == "descend"
+                        else lf.flow._birkhoff_iterated)(x0, params)
+            assert_traces_agree(closed, iterated, None)
+
+    @given(seed=st.integers(0, 2**32 - 1), cone=st.sampled_from([(2.0, 1.0), (0.0, 0.0), (4.0, 2.0)]))
+    @settings(max_examples=20, deadline=None)
+    def test_certified_segments_keep_every_move_clear_of_the_cones(self, seed, cone):
+        # why the closed form checks no move: x_i moves inside the triangle
+        # x_{i-1} x_i x_{i+1} (h <= 1/2), and certified segments keep every
+        # cone out of it.  Points sit at radii 3e-10..1 from a cone, and the
+        # neighbours often at nearly a right angle, where the certificate is tight
+        rng = np.random.default_rng(seed)
+        n = 5000
+
+        def around(radius, angle):
+            return np.array(cone) + radius[:, None] * np.c_[np.cos(angle), np.sin(angle)]
+
+        turn = rng.uniform(0.0, 2 * np.pi, n)
+        x = around(10 ** rng.uniform(-9.5, -0.3, n), turn)
+        near_right = np.pi / 2 + 10 ** rng.uniform(-12, -1, n) * rng.choice([-1, 1], n)
+        prev, after = (around(10 ** rng.uniform(-9.5, 0, n), turn + np.where(
+            rng.random(n) < 0.5, side * near_right, rng.uniform(-np.pi, np.pi, n))) for side in (1, -1))
+        certified = np.ones(n, dtype=bool)
+        for a, b in ((prev, x), (x, after)):
+            e0, _, length, unique = D21.segment_batch(a, b, 1e-9)
+            certified &= unique & (np.abs(e0 * length[:, None] - (b - a)) <= 1e-9).all(axis=1)
+        h = np.where(rng.random(n) < 0.5, 0.5, rng.uniform(0.0, 0.5, n))[:, None]
+        near = D21._near_cone(x, h * (prev + after - 2.0 * x), CONE_CLEARANCE)
+        assert certified.sum() > n // 50 and not (certified & near).any()
+
+    def test_doubled_rectangle_loops_take_no_iterated_step(self, monkeypatch, rng):
+        # as the benchmark's descent corpus samples them: k = 6, noise 0.02, and
+        # the loop at least 0.4 from the edges it runs along
+        calls = self.spy(monkeypatch)
+        for family in ("vertical", "horizontal"):
+            x0 = dr_noisy_loop(family, 6, rng.uniform(1 / 3, 2 / 3), rng.uniform(), rng, 0.02)
+            for x in (x0, with_torus_factor(x0)):
+                for flow in (lf.descend, lf.birkhoff_shorten):
+                    assert flow(x).status == "converged"
+        assert calls == []
+
+    def test_doubled_rectangle_fallbacks_take_the_iterated_flow(self, monkeypatch, rng):
+        calls = self.spy(monkeypatch)
+        # the ties and the cone of ``test_doubled_rectangle_tie_and_cone_fall_back``
+        tie = lf.configuration(D21, [[0.5, 0.5], [0.5, 0.5]], ["top", "bottom"])
+        cone = lf.configuration(D21, [[2.0 - 1e-10, 1.0 - 2e-10], [1.5, 0.6], [1.0, 0.3]],
+                                ["top", "top", "bottom"])
+        collided = lf.configuration(D21, [[0.5, 0.3], [0.5, 0.3], [1.2, 0.6]], ["top"] * 3)
+        loop = dr_noisy_loop("vertical", 6, 0.5, 0.5, rng, 0.02)
+        cases = [(dr_cone_loop(6, 0.3), lf.FlowParams(max_iters=30)),
+                 (tie, lf.FlowParams(max_iters=30)), (cone, lf.FlowParams(max_iters=30)),
+                 (collided, lf.FlowParams(max_iters=3)), (loop, lf.FlowParams(step=0.6))]
+        for x0, params in cases:
+            trace = lf.descend(x0, params)
+            assert calls == [x0]
+            assert trace.energies[-1] < trace.energies[0]
+            calls.clear()
+
     def test_fallbacks_take_the_iterated_flow(self, monkeypatch, rng):
         calls = self.spy(monkeypatch)
-        dr = dr_noisy_loop("horizontal", 8, 0.3, 0.6, rng, 0.02)
-        factor = lf.Product([lf.FlatTorus([1.25]), D21])
-        with_factor = lf.Configuration(factor, tuple(
-            factor.point(np.r_[1.25 * i / 8, p.coords], (None, p.face))
-            for i, p in enumerate(dr.points)))
+        # round a cone: the developed chain closes by a reflection
+        dr = dr_cone_loop(6, 0.3)
+        with_factor = with_torus_factor(dr)
         noisy = noisy_config(TREC, [1, 1], 8, [0.6, 0.1], rng, 0.02)
         cut = cut_start(TREC, [1, 2], [0.125, 0.0625], 0.0, None)
         p = TREC.point([0.2, 0.2])

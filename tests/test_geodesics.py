@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import loopflow as lf
 from loopflow import geodesics
 from loopflow.cli import execute_scenario
-from loopflow.spaces import CONE_TOL
+from loopflow.spaces import CONE_CLEARANCE
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "queries"
 
@@ -434,20 +434,15 @@ class TestAgainstTheScalarFlow:
     @settings(max_examples=300, deadline=None)
     def test_closure_verdict_matches_the_scalar_flow(self, case):
         verdict, scalar = _kind(lf.segment_loop_geodesic, *case), _kind(scalar_loop_closure, *case)
-        if verdict is not scalar:
-            # ``step_batch`` keeps a line 2 CONE_TOL clear of the cones, the
-            # scalar flow CONE_TOL; between the two only the verdicts differ
-            assert verdict is lf.DegenerateTrajectoryError and _in_cone_band(*case)
+        assert verdict is scalar
 
-
-def _in_cone_band(space, base, direction, length):
-    """Does the loop's line pass between CONE_TOL and 2 CONE_TOL of a cone?"""
-    if space is TREC:
-        return False
-    start = space._embed(base)[-2:][None]
-    disp = length * (space._frame(base) * direction)[-2:][None]
-    return bool(D21._near_cone(start, disp, 2.0 * CONE_TOL)[0]
-                and not D21._near_cone(start, disp, CONE_TOL)[0])
+    def test_lines_keep_one_cone_margin(self):
+        # the line from (0, 0) along (1, 5e-10) passes the cone (2, 0) at 1e-9
+        base = D21.point([0.0, 0.0], "top")
+        for slope, kind in ((5e-10, lf.DegenerateTrajectoryError), (2.0 * CONE_CLEARANCE, None)):
+            assert _kind(D21.exp_map, D21.tangent(base, [1.0, slope]), 4.0) is kind
+        with pytest.raises(lf.DegenerateTrajectoryError):
+            lf.segment_loop_geodesic(D21, base, [1.0, 5e-10], 4.0)
 
 
 def _outcome(check, *args):

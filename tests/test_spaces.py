@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loopflow as lf
@@ -84,6 +84,15 @@ class TestMinimizingGeodesics:
         with pytest.raises(lf.CoincidentPointsError):
             T11.minimizing_geodesics(p, p)
 
+    def test_tiny_displacements_keep_unit_velocities(self):
+        # 7.46e-159 squared is subnormal: lengths rescale before the square
+        p, q = T21.point([0.0, 0.0]), T21.point([0.0, 7.46e-159])
+        (seg,) = T21.minimizing_geodesics(p, q)
+        e0, sign, length, unique = T21.segment_batch(p.coords[None], q.coords[None], 1e-9)
+        assert seg.length == length[0] == T21.distance(p, q) == 7.46e-159
+        assert np.array_equal(seg.v0, [0.0, 1.0]) and np.array_equal(e0[0], seg.v0)
+        assert unique[0] and np.array_equal(sign[0], [1.0, 1.0])
+
     def test_double_rectangle_involution_tie(self):
         p = D21.point([1, 0.5], "top")
         q = D21.point([1, 0.5], "bottom")
@@ -94,6 +103,8 @@ class TestMinimizingGeodesics:
         assert all(s.length == pytest.approx(segs[0].length, abs=1e-12) for s in segs)
 
     @given(px=coord, py=coord, qx=coord, qy=coord)
+    # a displacement whose square is subnormal
+    @example(px=0.0, py=0.0, qx=0.0, qy=7.46e-159)
     @settings(max_examples=60, deadline=None)
     def test_lengths_velocities_and_membership(self, px, py, qx, qy):
         p, q = T21.point([px, py]), T21.point([qx, qy])
@@ -310,6 +321,14 @@ class TestCutPairs:
     def test_diagonal_tie_on_rectangular_torus(self):
         assert lf.is_cut_pair(T21, T21.point([0, 0]), T21.point([0.5, 0.5]))
 
+    def test_a_segment_to_a_cone_point_is_listed_once(self):
+        # the reflection fixing the corner (0, 0) maps one sheet onto the other
+        p, corner = D21.point([0.5, 0.5], "top"), D21.point([0.0, 0.0], "top")
+        for a, b in ((p, corner), (corner, p)):
+            (seg,) = D21.minimizing_geodesics(a, b, allow_degenerate=True)
+            assert seg.lift == (0, 0, 0) and seg.length == D21.distance(a, b)
+            assert not lf.is_cut_pair(D21, a, b)
+
 
 class TestDoubledRectangle:
     @given(
@@ -466,9 +485,9 @@ class TestSegmentBatch:
     def check(self, space, ps, qs):
         A = np.array([space._embed(p) for p in ps])
         B = np.array([space._embed(q) for q in qs])
-        e0, e1, length, unique = space.segment_batch(A, B, 1e-9)
+        e0, sign, length, unique = space.segment_batch(A, B, 1e-9)
         for j, (p, q) in enumerate(zip(ps, qs)):
-            v0, v1 = e0[j], e1[j]
+            v0, v1 = e0[j], sign[j] * e0[j]
             if isinstance(space, lf.DoubledRectangle):
                 v0, v1 = v0 * space._frame(p), v1 * space._frame(q)
             assert length[j] == space.distance(p, q)
