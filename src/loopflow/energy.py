@@ -28,8 +28,8 @@ from .spaces import DEFAULT_TOL, MinGeodesic, Point, Space, Tangent
 
 COMPONENT_DEDUP_TOL = 1e-12
 MAX_CANDIDATE_TUPLES = 10**6
-# cap on k * n for ``hessian_index_nullity``: eigh of the largest matrix
-# takes well under a second
+# cap on k * n for ``hessian_index_nullity``: with every mode null, its rank
+# test is an SVD of a k x kn matrix, well under a second at the cap
 MAX_HESSIAN_DIM = 1024
 
 
@@ -394,26 +394,33 @@ def hessian_index_nullity(
     zero_tol: float = 1e-6,
     tol: float = DEFAULT_TOL,
 ) -> HessianReport:
-    """Index and nullity of the energy Hessian at a smooth critical point.
+    """Index and nullity of the energy Hessian at a smooth critical point,
+    in closed form.
 
     Requires a smooth critical point: every consecutive pair has a unique
     minimizing geodesic within ``tol`` and the candidate gradient of that
     chain vanishes within ``zero_tol``.  Near such a point the energy is
     exactly ``k sum_i |T_i u_{i+1} - u_i + c_i|^2`` in the chart
-    perturbations u_i, with c_i the lifted segment and T_i its
-    ``Space.transport``, so the Hessian is ``2k sum_i B_i^T B_i`` for the
-    block row ``B_i = (-I at i, T_i at i+1)``.  It is assembled in O(k n^2)
-    and diagonalized by ``eigh``; k n above ``MAX_HESSIAN_DIM`` raises
-    ``ResourceLimitError``.  The degeneracy flag reports whether the null
-    space contains a direction perpendicular to the loop velocity at every
-    configuration point, which excludes the rotational null direction.
+    perturbations u_i, with c_i the lifted segment and T_i the diagonal
+    ``frame_i sign_i frame_{i+1}`` that takes chart vectors at point i+1 to
+    point i (``sign_i``: the deck sign of ``Space.segment_batch``).  So the
+    Hessian ``2k sum_i B_i^T B_i``, ``B_i = (-I at i, T_i at i+1)``, is one
+    signed k-cycle per coordinate c: in the gauge ``g_i = T_0 ... T_{i-1}``
+    the cycle Laplacian closed by ``g_k = +-1``, with eigenvalues
+    ``8k sin^2(pi (j + theta_c) / k)``, j = 0..k-1, theta_c = 0 where ``g_k``
+    is +1 and 1/2 where it is -1, and eigenvectors
+    ``g_i exp(2 pi i (j + theta_c) i / k)``.  It is positive semidefinite, so
+    the index is 0.  The degeneracy flag reports whether the null space
+    contains a direction perpendicular to the loop velocity at every
+    configuration point, which excludes the rotational null direction: a
+    rank test over the real null modes.  O(k n) besides that test; k n above
+    ``MAX_HESSIAN_DIM`` raises ``ResourceLimitError``.
     """
-    n = x.space.dim
-    k = x.k
-    dim = k * n
-    if dim > MAX_HESSIAN_DIM:
+    space, k = x.space, x.k
+    n = space.dim
+    if k * n > MAX_HESSIAN_DIM:
         raise ResourceLimitError(
-            f"Hessian dimension k*n = {dim} exceeds MAX_HESSIAN_DIM = {MAX_HESSIAN_DIM}"
+            f"Hessian dimension k*n = {k * n} exceeds MAX_HESSIAN_DIM = {MAX_HESSIAN_DIM}"
         )
     seglists = segment_geodesics(x, tol)
     for i, segs in enumerate(seglists):
@@ -428,36 +435,45 @@ def hessian_index_nullity(
             f"gradient-like magnitude {g.magnitude:.3e} exceeds zero_tol {zero_tol:.3e}"
         )
 
-    hess = np.zeros((k, n, k, n))
-    for i, seg in enumerate(chain):
-        j = (i + 1) % k
-        t = x.space.transport(x.points[i], x.points[j], seg.lift)
-        # -= accumulates, so at k = 2 both segments land in the same blocks
-        hess[i, :, j, :] -= t
-        hess[j, :, i, :] -= t.T
-    # every block row meets two segments and T is orthogonal: diagonal 2I
-    hess = 2.0 * k * (2.0 * np.eye(dim) + hess.reshape(dim, dim))
-    eigvals, eigvecs = np.linalg.eigh(hess)
-
-    index = int(np.sum(eigvals < -zero_tol))
-    null_mask = np.abs(eigvals) <= zero_tol
-    nullity = int(np.sum(null_mask))
+    # t_i = frame_i sign_i frame_{i+1}, from the cover rows of points i, i + 1
+    ring = x.points + x.points[:1]
+    rows = np.array([space._embed(p) for p in ring])
+    t = space.segment_batch(rows[:-1], rows[1:], tol)[1]
+    frames = [space._frame(p) for p in ring]
+    if frames[0] is not None:
+        frame = np.array(frames)
+        t = frame[:-1] * t * frame[1:]
+    # row i - 1 holds the gauge g_i = t_0 ... t_{i-1}, i = 1..k.  The last,
+    # g_k, closes the cycle, and a mode g_i exp(2 pi i (j + theta) i / k)
+    # takes at i = k its value at i = 0: the rows stand for the points
+    # 1, ..., k-1, 0
+    gauge = np.cumprod(t, axis=0)
+    m = np.arange(k)[:, None] + 0.5 * (gauge[-1] < 0.0)
+    # the conjugate modes j + theta and k - j - theta share an eigenvalue,
+    # taken at the smaller frequency so that the pair's bits agree
+    vals = 8.0 * k * np.sin(np.pi / k * np.minimum(m, k - m)) ** 2
+    null = vals <= zero_tol
+    nullity = int(np.count_nonzero(null))
 
     degenerate = False
-    if nullity > 0:
-        null_basis = eigvecs[:, null_mask]
+    if nullity:
+        # orthonormal real null modes, one per null (j, c): the cosine of
+        # frequency m = j + theta up to k/2 and, above it, the sine, which is
+        # (up to sign) the conjugate mode's sine
+        j, c = np.nonzero(null)
+        f = m[j, c]
+        modes = np.cos(np.outer(np.arange(1, k + 1), 2.0 * np.pi / k * f) - np.pi / 2 * (f > k / 2))
+        modes *= gauge[:, c] / np.linalg.norm(modes, axis=0)
         # velocity of the associated loop at each point: the unique chain
-        directions = np.zeros((k, dim))
-        for i, seg in enumerate(chain):
-            directions[i, i * n : (i + 1) * n] = seg.v0
-        constrained = directions @ null_basis
-        rank = np.linalg.matrix_rank(constrained, tol=1e-8)
-        degenerate = bool(nullity - rank > 0)
+        v0 = np.array([seg.v0 for seg in chain[1:] + chain[:1]])
+        # ``np.linalg.matrix_rank(tol=1e-8)``, without its wrapping
+        rank = np.count_nonzero(np.linalg.svd(v0[:, c] * modes, compute_uv=False) > 1e-8)
+        degenerate = bool(nullity > rank)
 
     return HessianReport(
-        index=index,
+        index=0,
         nullity=nullity,
-        eigenvalues=tuple(float(v) for v in eigvals),
+        eigenvalues=tuple(sorted(vals.ravel().tolist())),
         zero_tol=zero_tol,
         degenerate=degenerate,
     )

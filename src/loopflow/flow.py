@@ -50,6 +50,7 @@ from .geodesics import (
     TWO_PI,
     ClosedGeodesic,
     _points,
+    _step,
     geodesic_from_chain,
     max_cut_pair,
     minimizing_index,
@@ -159,7 +160,8 @@ class _Iterate:
     frames (``Space._embed``, ``Space._frame``), with the ``segment_batch``
     kernel of its consecutive pairs.  Its points are built only when
     ``config`` is read.  Each operation gives the scalar path's bits; one
-    that meets a tie, a collision or a cone takes the scalar path."""
+    that meets a tie or a collision takes the scalar path, and a move
+    through a cone raises, as the scalar move does."""
 
     def __init__(self, space, tol, cover, frame, config=None):
         self.space, self.tol, self._config = space, tol, config
@@ -204,13 +206,10 @@ class _Iterate:
         return np.array(g.vecs), g.magnitude
 
     def moved(self, direction: np.ndarray, s: float) -> "_Iterate":
-        """Every point moved along its row of ``direction`` for time s."""
+        """Every point moved along its row of ``direction`` for time s;
+        ``DegenerateTrajectoryError`` when one runs through a cone."""
         disp = s * direction if self.frame is None else s * direction * self.frame
-        rows = self.space.step_batch(self.cover, disp)
-        if rows is None:
-            x = exp_config(self.config, ConfigTangent(tuple(direction)), s)
-            return _Iterate.of(x, self.tol)
-        return _Iterate(self.space, self.tol, *rows)
+        return _Iterate(self.space, self.tol, *_step(self.space, self.cover, disp))
 
     def midpoints(self, rotate: bool = False) -> "_Iterate":
         """``_chord_midpoints``; with ``rotate`` the last midpoint comes first."""

@@ -36,6 +36,7 @@ from .errors import (
     ClosureError,
     DegenerateTrajectoryError,
     GeometryError,
+    ResourceLimitError,
     SpaceSupportError,
     ValidationError,
     _real,
@@ -58,6 +59,9 @@ CLOSURE_TOL = 1e-9
 # largest |entry| of a class a scenario may give: beyond about 1e6 periods a
 # loop point's chart coordinates round by more than the default tie tolerance
 MAX_CLASS_ENTRY = 10**6
+# cap on a variation's ``steps``: each costs up to about 0.75 ms (a product
+# with a doubled-rectangle factor), so the largest profile stays under a second
+MAX_PROBE_STEPS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +364,14 @@ def variation_minind_profile(
     the minimizing index at the smallest positive sampled s equals k0 + 1.
     ``openly_preserved`` reports whether a centrally openly-1/k0 loop stays
     openly 1/k0 over the whole sampled range (None when not openly at 0).
-    A ``k_hint`` below the central loop's index raises ``ValidationError``.
+    A ``k_hint`` below the central loop's index raises ``ValidationError``,
+    and ``steps`` above ``MAX_PROBE_STEPS`` ``ResourceLimitError``.
     """
     from .energy import dplus_distance
+
+    if var.steps > MAX_PROBE_STEPS:
+        raise ResourceLimitError(
+            f"variation steps {var.steps} exceed MAX_PROBE_STEPS = {MAX_PROBE_STEPS}")
 
     g = var.geodesic
     k0 = k_hint or minimizing_index(g, tol)

@@ -168,26 +168,17 @@ class Space:
         own velocity."""
         raise NotImplementedError
 
-    def transport(self, p: Point, q: Point, lift) -> np.ndarray:
-        """Parallel transport from q to p along the segment with ``lift``:
-        the (dim, dim) matrix T taking chart vectors at q to chart vectors at
-        p, so ``T @ v1 == v0``.  It comes from the lift and the charts alone,
-        never from the velocities, whose signs are ambiguous on axis-aligned
-        segments."""
-        raise NotImplementedError
-
     def trivial_lift(self) -> tuple:
         """The lift of the constant segment from a point to itself."""
         raise NotImplementedError
 
     # -- flows ---------------------------------------------------------------
 
-    def flow(self, tan: Tangent, s: float, carry: tuple = ()):
+    def flow(self, tan: Tangent, s: float):
         """Straight-line flow for time ``s``.
 
-        Returns ``(endpoint, velocity, carried)`` where ``velocity`` is the
-        tangent vector expressed in the endpoint's chart and ``carried`` are
-        the extra vectors of ``carry`` transported the same way.
+        Returns ``(endpoint, velocity)`` where ``velocity`` is the tangent
+        vector expressed in the endpoint's chart.
         """
         raise NotImplementedError
 
@@ -349,17 +340,13 @@ class FlatTorus(Space):
     def lattice_gap(self, disp):
         return float(np.linalg.norm(disp - self.periods * np.round(disp / self.periods)))
 
-    def transport(self, p, q, lift):
-        return np.eye(self.dim)
-
     def trivial_lift(self):
         return (0,) * self.dim
 
-    def flow(self, tan: Tangent, s: float, carry: tuple = ()):
+    def flow(self, tan: Tangent, s: float):
         self._check_point(tan.base)
         vec = _as_vector(tan.vec, self.dim, "tangent vector")
-        end = self.point(tan.base.coords + s * vec)
-        return end, vec.copy(), tuple(np.asarray(c, dtype=float).copy() for c in carry)
+        return self.point(tan.base.coords + s * vec), vec.copy()
 
     def min_scale(self) -> float:
         return float(self.periods.min())
@@ -563,18 +550,12 @@ class DoubledRectangle(Space):
         # a reflection would return the loop with its velocity reversed
         return self._cover.lattice_gap(disp)
 
-    def transport(self, p, q, lift):
-        # a chart vector at q is M_q w in the cover; the reflection sheet's
-        # deck transform negates it, and M_p takes it to p's chart
-        sign = -1.0 if lift[0] == 1 else 1.0
-        return sign * self._chart_matrix(p.face) @ self._chart_matrix(q.face)
-
     def trivial_lift(self):
         return (0, 0, 0)
 
     # -- flows ----------------------------------------------------------------
 
-    def flow(self, tan: Tangent, s: float, carry: tuple = ()):
+    def flow(self, tan: Tangent, s: float):
         self._check_point(tan.base)
         vec = _as_vector(tan.vec, 2, "tangent vector")
         start = self._embed(tan.base)
@@ -586,12 +567,7 @@ class DoubledRectangle(Space):
         (chart,), (bottom,) = self._chart(u)
         end = self.point(chart, BOTTOM if bottom else TOP)
         # cover vectors at the end reach its chart through the deck transform
-        transform = sign * self._chart_matrix(end.face)
-        carried = tuple(
-            transform @ (self._chart_matrix(tan.base.face) @ _as_vector(c, 2, "carried vector"))
-            for c in carry
-        )
-        return end, transform @ cover_vec, carried
+        return end, sign * self._chart_matrix(end.face) @ cover_vec
 
     def min_scale(self) -> float:
         return min(self.a, self.b)
@@ -754,39 +730,15 @@ class Product(Space):
         segs.sort(key=lambda s: s.lift)
         return segs
 
-    def transport(self, p, q, lift):
-        # block diagonal; a zero-length factor carries its trivial lift
-        out = np.zeros((self.dim, self.dim))
-        for f, a, b, sub, (lo, hi) in zip(
-            self.factors, self._split_point(p), self._split_point(q), lift, self._offsets
-        ):
-            out[lo:hi, lo:hi] = f.transport(a, b, sub)
-        return out
-
     def trivial_lift(self):
         return tuple(f.trivial_lift() for f in self.factors)
 
-    def flow(self, tan: Tangent, s: float, carry: tuple = ()):
+    def flow(self, tan: Tangent, s: float):
         self._check_point(tan.base)
         vec = _as_vector(tan.vec, self.dim, "tangent vector")
-        pts = self._split_point(tan.base)
-        vecs = self._split(vec)
-        carries = [self._split(_as_vector(c, self.dim, "carried vector")) for c in carry]
-        ends, outvecs = [], []
-        outcarry = [[] for _ in carry]
-        for idx, (f, p0, v0) in enumerate(zip(self.factors, pts, vecs)):
-            sub_carry = tuple(c[idx] for c in carries)
-            end, v, carried = f.flow(Tangent(p0, v0), s, sub_carry)
-            ends.append(end)
-            outvecs.append(v)
-            for slot, cv in zip(outcarry, carried):
-                slot.append(cv)
-        end = self._join(ends)
-        return (
-            end,
-            np.concatenate(outvecs),
-            tuple(np.concatenate(slot) for slot in outcarry),
-        )
+        ends, vels = zip(*(f.flow(Tangent(p0, v0), s) for f, p0, v0 in
+                           zip(self.factors, self._split_point(tan.base), self._split(vec))))
+        return self._join(list(ends)), np.concatenate(vels)
 
     def loop_arcs(self, start, disp, k, tol=DEFAULT_TOL):
         # a product pair is minimizing exactly when every factor pair is, and

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own enumeration and
 closed-form paths: distances come from explicit lattice scans, candidate
 components from raw segment data, and Hessian spectra from the explicit
-circulant quadratic form in the universal cover or from central differences
-of the energy.  The gradient-like oracles
+circulant quadratic form in the universal cover, from ``eigh`` of the block
+matrix assembled from each segment's lift and faces, or from central
+differences of the energy.  The gradient-like oracles
 select from the exhaustive ``candidate_gradients`` listing, which the
 library's transfer-matrix path never calls.
 """
@@ -107,11 +108,71 @@ def circulant_hessian_eigenvalues(k, n):
     return sorted(vals)
 
 
+def lift_transport(space, p, q, lift):
+    """Parallel transport from q to p along the segment with ``lift``: the
+    (dim, dim) matrix taking chart vectors at q to chart vectors at p.  It
+    comes from the lift and the faces alone, never from the velocities, whose
+    signs are ambiguous on axis-aligned segments: the identity on a torus,
+    ``sign M_p M_q`` on the doubled rectangle (the face chart matrices, sign
+    -1 on the reflection sheet), block diagonal on a product."""
+    if isinstance(space, lf.DoubledRectangle):
+        sign = -1.0 if lift[0] == 1 else 1.0
+        return sign * np.diag([1.0, -1.0 if p.face == "bottom" else 1.0]) @ np.diag(
+            [1.0, -1.0 if q.face == "bottom" else 1.0])
+    if isinstance(space, lf.Product):
+        out = np.zeros((space.dim, space.dim))
+        lo = 0
+        for f, a, b, sub in zip(space.factors, space._split_point(p), space._split_point(q), lift):
+            out[lo:lo + f.dim, lo:lo + f.dim] = lift_transport(f, a, b, sub)
+            lo += f.dim
+        return out
+    return np.eye(space.dim)
+
+
+def eigh_hessian(x, zero_tol=1e-6, tol=1e-9):
+    """The energy Hessian ``2k sum_i B_i^T B_i``, ``B_i = (-I at i, T_i at
+    i+1)``, assembled block by block from ``lift_transport`` of each
+    segment's minimizer and summarized by ``eigh_report``.  The caller makes
+    sure every segment has one minimizer."""
+    n, k = x.space.dim, x.k
+    hess = np.zeros((k, n, k, n))
+    for i, segs in enumerate(lf.segment_geodesics(x, tol)):
+        j = (i + 1) % k
+        t = lift_transport(x.space, x.points[i], x.points[j], segs[0].lift)
+        # -= accumulates, so at k = 2 both segments land in the same blocks
+        hess[i, :, j, :] -= t
+        hess[j, :, i, :] -= t.T
+    # every block row meets two segments and T is orthogonal: diagonal 2I
+    return eigh_report(x, 2.0 * k * (2.0 * np.eye(k * n) + hess.reshape(k * n, k * n)), zero_tol, tol)
+
+
+def eigh_report(x, hess, zero_tol, tol):
+    """A ``HessianReport`` of the (kn, kn) matrix ``hess`` from ``eigh``,
+    with the library's index, nullity and degeneracy rules.  The loop
+    velocity for the degeneracy test is each segment's first minimizer."""
+    n, k = x.space.dim, x.k
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    null_mask = np.abs(eigvals) <= zero_tol
+    nullity = int(null_mask.sum())
+    degenerate = False
+    if nullity:
+        directions = np.zeros((k, k * n))
+        for i, segs in enumerate(lf.segment_geodesics(x, tol)):
+            directions[i, i * n : (i + 1) * n] = segs[0].v0
+        rank = np.linalg.matrix_rank(directions @ eigvecs[:, null_mask], tol=1e-8)
+        degenerate = nullity > rank
+    return lf.HessianReport(
+        index=int((eigvals < -zero_tol).sum()),
+        nullity=nullity,
+        eigenvalues=tuple(float(v) for v in eigvals),
+        zero_tol=zero_tol,
+        degenerate=bool(degenerate),
+    )
+
+
 def finite_difference_hessian(x, zero_tol=1e-6, step=1e-4, tol=1e-9):
     """The energy Hessian by central differences of ``uniform_energy`` along
-    ``exp_config``, O((kn)^2) energy calls, summarized as a ``HessianReport``
-    with the library's index, nullity and degeneracy rules.  The loop
-    velocity for the degeneracy test is each segment's unique minimizer."""
+    ``exp_config``, O((kn)^2) energy calls, summarized by ``eigh_report``."""
     n, k = x.space.dim, x.k
     dim = k * n
 
@@ -130,23 +191,7 @@ def finite_difference_hessian(x, zero_tol=1e-6, step=1e-4, tol=1e-9):
                 - f(step * (e[j] - e[i]))
                 + f(-step * (e[i] + e[j]))
             ) / (4.0 * step * step)
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    null_mask = np.abs(eigvals) <= zero_tol
-    nullity = int(null_mask.sum())
-    degenerate = False
-    if nullity:
-        directions = np.zeros((k, dim))
-        for i, segs in enumerate(lf.segment_geodesics(x, tol)):
-            directions[i, i * n : (i + 1) * n] = segs[0].v0
-        rank = np.linalg.matrix_rank(directions @ eigvecs[:, null_mask], tol=1e-8)
-        degenerate = nullity > rank
-    return lf.HessianReport(
-        index=int((eigvals < -zero_tol).sum()),
-        nullity=nullity,
-        eigenvalues=tuple(float(v) for v in eigvals),
-        zero_tol=zero_tol,
-        degenerate=bool(degenerate),
-    )
+    return eigh_report(x, hess, zero_tol, tol)
 
 
 def straight_chain_deviation(seglists):
@@ -315,12 +360,12 @@ def scalar_loop_closure(space, base, direction, length, closure_tol=1e-9):
     """
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    end, vel, _ = space.flow(lf.Tangent(base, direction), length)
+    end, vel = space.flow(lf.Tangent(base, direction), length)
     if space.distance(base, end) > closure_tol:
         raise lf.ClosureError("loop does not return to its base point")
     h = (math.sqrt(5.0) - 2.0) * length
-    _, u, _ = space.flow(lf.Tangent(base, direction), h)
-    _, v, _ = space.flow(lf.Tangent(end, vel), h)
+    _, u = space.flow(lf.Tangent(base, direction), h)
+    _, v = space.flow(lf.Tangent(end, vel), h)
     if float(np.linalg.norm(u - v)) > closure_tol:
         raise lf.ClosureError("loop returns with a different direction")
 
@@ -334,5 +379,5 @@ def scalar_loop_point(g, t):
     else:
         direction = g.klass * lf.effective_periods(g.space) / g.length
     frac = (t % (2.0 * math.pi)) / (2.0 * math.pi)
-    end, vel, _ = g.space.flow(lf.Tangent(g.base, direction), frac * g.length)
+    end, vel = g.space.flow(lf.Tangent(g.base, direction), frac * g.length)
     return end, vel

@@ -10,6 +10,7 @@ import pytest
 from conftest import strip_timing
 
 import loopflow.cli
+import loopflow.geodesics
 from loopflow.cli import emit_plot_data, execute_scenario, main, run_scenario
 
 TREC_SPACE = {"type": "flat_torus", "periods": [1.0, 0.75]}
@@ -272,6 +273,17 @@ class TestRunScenario:
         code = run_scenario(write(tmp_path, "huge.json", huge), str(tmp_path / "r.json"))
         assert code == 3
         assert "MAX_RESTART_POINTS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [loopflow.geodesics.MAX_PROBE_STEPS + 1, 10**7])
+    def test_probe_beyond_the_steps_cap_exits_3(self, tmp_path, capsys, steps):
+        # each step is a full variation check: 10**7 of them ran unbounded
+        huge = json.loads(json.dumps(SLIDE_PROBE))
+        huge["inputs"]["variation"]["steps"] = steps
+        started = time.perf_counter()
+        code = run_scenario(write(tmp_path, "huge.json", huge), str(tmp_path / "r.json"))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert "MAX_PROBE_STEPS" in capsys.readouterr().err
 
     def test_hessian_beyond_the_dimension_cap_exits_3(self, tmp_path, capsys):
         # central differences on this input ran for hours

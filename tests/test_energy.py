@@ -12,6 +12,7 @@ import loopflow as lf
 from conftest import (
     brute_extremes,
     circulant_hessian_eigenvalues,
+    eigh_hessian,
     finite_difference_hessian,
     straight_chain_deviation,
 )
@@ -546,6 +547,104 @@ class TestExactHessian:
         rep = lf.hessian_index_nullity(x, zero_tol=1e-10)
         assert (rep.index, rep.nullity, rep.degenerate) == (0, 2, True)
         assert np.allclose(rep.eigenvalues, circulant_hessian_eigenvalues(4, 2), rtol=0, atol=1e-9)
+
+
+# Hessian tolerances off every rational eigenvalue 8k sin^2(pi m / k)
+# (2k, 4k, 6k, 8k), so that rounding in the oracle cannot split a count
+ZERO_TOLS = (1e-9, 1e-6, 1e-3, 0.37, 7.3, 123.4, 1e3)
+LARGE_ZERO_TOLS = ZERO_TOLS[3:]
+
+
+def assert_matches_the_oracle(x, zero_tol):
+    got = lf.hessian_index_nullity(x, zero_tol=zero_tol)
+    want = eigh_hessian(x, zero_tol=zero_tol)
+    assert (got.index, got.nullity, got.degenerate) == (want.index, want.nullity, want.degenerate)
+    assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12 * 8 * x.k)
+    return got
+
+
+def loop_round_a_cone(k, radius, start, jitter=()):
+    """k points round the cone lift (2, 1) of D21 at the given radius, a
+    half turn in the cover: the last segment closes through the point
+    reflection, so the deck signs multiply to -1."""
+    angles = start + math.pi * (np.arange(k) + np.resize(np.asarray(jitter, float), k)) / k
+    rows = np.array([2.0, 1.0]) + radius * np.column_stack((np.cos(angles), np.sin(angles)))
+    return lf.Configuration(D21, D21.points_batch(D21._fold(rows)[0]))
+
+
+@st.composite
+def hessian_cases(draw):
+    """(configuration, zero_tol): smooth critical loops on every backend,
+    configurations that are not critical at a large zero_tol, and loops
+    round a doubled-rectangle cone."""
+    kind = draw(st.sampled_from(["critical", "noncritical", "cone"]))
+    if kind == "critical":
+        return draw(smooth_straight_configs()), draw(st.sampled_from(ZERO_TOLS))
+    zero_tol = draw(st.sampled_from(LARGE_ZERO_TOLS))
+    if kind == "cone":
+        k = draw(st.integers(3, 8))
+        jitter = draw(st.lists(st.floats(-0.2, 0.2), min_size=k, max_size=k))
+        return loop_round_a_cone(k, draw(st.floats(0.1, 0.45)),
+                                 draw(st.floats(0.0, 2.0 * math.pi)), jitter), zero_tol
+    space = draw(st.sampled_from([TREC, T3, PT, D21, MIXED]))
+    k = draw(st.integers(2, 6))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    face = st.sampled_from(["top", "bottom"])
+    if space is D21:
+        pts = [D21.point([2.0 * draw(unit), draw(unit)], draw(face)) for _ in range(k)]
+    elif space is MIXED:
+        pts = [MIXED.point([1.25 * draw(unit), 2.0 * draw(unit), draw(unit)], (None, draw(face)))
+               for _ in range(k)]
+    else:
+        periods = lf.effective_periods(space)
+        pts = [space.point([draw(unit) * a for a in periods]) for _ in range(k)]
+    return lf.Configuration(space, tuple(pts)), zero_tol
+
+
+class TestClosedFormHessian:
+    """The closed form against ``eigh`` of the block matrix assembled from
+    each segment's lift and faces."""
+
+    @given(hessian_cases())
+    @example((reflection_loop_config(), 1e-6))
+    @example((loop_round_a_cone(6, 0.3, 0.4), 7.3))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_eigh_oracle(self, case):
+        x, zero_tol = case
+        try:
+            lf.hessian_index_nullity(x, zero_tol=zero_tol)
+        except lf.GeometryError:  # not smooth, not critical, or through a cone
+            assume(False)
+        assert_matches_the_oracle(x, zero_tol)
+
+    def test_tight_zero_tol_keeps_both_null_modes(self):
+        # eigh put the null values at 4.3e-16 and 2.1e-14: nullity 1, not degenerate
+        x = evenly_spaced(TREC, [1, 2], 6, [0.1, 0.2])
+        rep = lf.hessian_index_nullity(x, zero_tol=1e-14)
+        assert (rep.index, rep.nullity, rep.degenerate) == (0, 2, True)
+        assert rep.eigenvalues[:2] == (0.0, 0.0)
+
+    def test_a_loop_across_the_bottom_edge_matches_the_oracle(self):
+        # points 7 and 8 of the (1, 1) loop lie on either side of the bottom
+        # edge, on the translation sheet: there v0 = diag(1, -1) v1, so the
+        # transport comes from the faces; so does the gauge of the null
+        # modes, which the degeneracy flag reads
+        x = reflection_loop_config()
+        p, q = x.points[7], x.points[8]
+        (seg,) = D21.minimizing_geodesics(p, q)
+        assert (p.face, q.face, seg.lift[0]) == ("top", "bottom", 0)
+        assert seg.v0[1] < 0.0 < seg.v1[1]
+        reports = {zero_tol: assert_matches_the_oracle(x, zero_tol) for zero_tol in ZERO_TOLS}
+        assert (reports[1e-6].nullity, reports[1e-6].degenerate) == (2, True)
+
+    def test_a_loop_round_a_cone_has_the_half_shifted_spectrum(self):
+        x = loop_round_a_cone(6, 0.3, 0.4)
+        sheets = [segs[0].lift[0] for segs in lf.segment_geodesics(x)]
+        assert sum(sheets) % 2 == 1
+        rep = assert_matches_the_oracle(x, 7.3)
+        want = sorted(48.0 * math.sin(math.pi * (j + 0.5) / 6) ** 2 for j in range(6) for _ in "xy")
+        assert np.allclose(rep.eigenvalues, want, rtol=0, atol=1e-12)
+        assert rep.nullity == 4
 
 
 class TestSerialization:

@@ -431,15 +431,15 @@ class TestArrayStep:
             assert trace.energies[-1] < trace.energies[0]
             assert_trace_matches_scalar(trace)
 
-    def spy(self, monkeypatch, name="gradient_like"):
+    def spy(self, monkeypatch):
         calls = []
-        original = getattr(lf.flow, name)
+        original = lf.flow.gradient_like
 
         def counting(x, *args):
             calls.append(x)
             return original(x, *args)
 
-        monkeypatch.setattr(lf.flow, name, counting)
+        monkeypatch.setattr(lf.flow, "gradient_like", counting)
         return calls
 
     def test_near_cut_start_falls_back(self, monkeypatch):
@@ -478,16 +478,13 @@ class TestArrayStep:
             assert_trace_matches_scalar(trace)
             calls.clear()
 
-    def test_move_past_a_cone_takes_the_scalar_step(self, monkeypatch):
-        calls = self.spy(monkeypatch, "exp_config")
+    def test_move_past_a_cone_raises(self):
         x = lf.configuration(D21, [[1.9, 0.9], [1.0, 0.5], [0.5, 0.2]], ["top", "top", "top"])
         it = lf.flow._Iterate.of(x, 1e-9)
         direction = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(lf.DegenerateTrajectoryError):
             it.moved(direction, 0.2)  # point 0 runs into the corner (2, 1)
-        assert len(calls) == 1
         moved = it.moved(direction, 0.05)  # clear of it: the array step
-        assert len(calls) == 1
         assert_same_points(moved.config, lf.exp_config(x, lf.ConfigTangent(tuple(direction)), 0.05))
 
     def test_step_onto_a_vertical_edge_lands_on_the_top_face(self):

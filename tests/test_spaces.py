@@ -289,25 +289,19 @@ class TestExpMap:
     def test_transported_direction_consistent(self):
         # crossing onto the bottom face flips the chart y-axis
         start = D21.point([1.0, 0.9], "top")
-        _, vel, (carried,) = D21.flow(
-            lf.Tangent(start, np.array([0.0, 1.0])), 0.2, carry=(np.array([1.0, 0.0]),)
-        )
+        _, vel = D21.flow(lf.Tangent(start, np.array([0.0, 1.0])), 0.2)
         assert np.allclose(vel, [0.0, -1.0], atol=1e-12)
-        assert np.allclose(carried, [1.0, 0.0], atol=1e-12)
 
     def test_flow_onto_a_vertical_edge_from_the_bottom_face(self):
         # (0.5, 0.3) bottom along (-1, 0) meets the edge x = 0 at 0.5, where
         # ``point`` puts the end on the top face: the deck transform is the
-        # reflection, so the velocity turns to (1, 0) and the edge's own
-        # direction (0, 1) is carried to (0, 1)
+        # reflection, so the velocity turns to (1, 0)
         start = D21.point([0.5, 0.3], "bottom")
-        end, vel, (carried,) = D21.flow(
-            lf.Tangent(start, np.array([-1.0, 0.0])), 0.5, carry=(np.array([0.0, 1.0]),)
-        )
+        end, vel = D21.flow(lf.Tangent(start, np.array([-1.0, 0.0])), 0.5)
         assert end.face == "top" and np.allclose(end.coords, [0.0, 0.3], rtol=0, atol=1e-15)
-        assert np.array_equal(vel, [1.0, 0.0]) and np.array_equal(carried, [0.0, 1.0])
+        assert np.array_equal(vel, [1.0, 0.0])
         # just short of the edge the end is still on the bottom face, moving along -x
-        end, vel, _ = D21.flow(lf.Tangent(start, np.array([-1.0, 0.0])), 0.25)
+        end, vel = D21.flow(lf.Tangent(start, np.array([-1.0, 0.0])), 0.25)
         assert end.face == "bottom" and np.array_equal(vel, [-1.0, 0.0])
 
 
@@ -366,35 +360,6 @@ class TestDoubledRectangle:
         assert p.face == "top"
 
 
-    @given(
-        px=st.floats(0.05, 1.95),
-        py=st.floats(0.05, 0.95),
-        qx=st.floats(0.05, 1.95),
-        qy=st.floats(0.05, 0.95),
-        pf=st.booleans(),
-        qf=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_transport_carries_v1_to_v0(self, px, py, qx, qy, pf, qf):
-        faces = {True: "bottom", False: "top"}
-        p = D21.point([px, py], faces[pf])
-        q = D21.point([qx, qy], faces[qf])
-        assume(D21.distance(p, q) > 0.0)
-        for seg in D21.minimizing_geodesics(p, q, allow_degenerate=True):
-            t = D21.transport(p, q, seg.lift)
-            assert np.array_equal(t @ t.T, np.eye(2))
-            assert np.allclose(t @ seg.v1, seg.v0, rtol=0, atol=1e-12)
-
-    def test_transport_across_the_bottom_edge(self):
-        # v0 = (0, -1) and v1 = (0, 1): both diag(1, -1) and -I carry v1 to
-        # v0, and only the faces say which one the segment does
-        p = D21.point([0.5, 0.1], "top")
-        q = D21.point([0.5, 0.1], "bottom")
-        (seg,) = D21.minimizing_geodesics(p, q)
-        assert seg.lift[0] == 0
-        assert np.array_equal(D21.transport(p, q, seg.lift), np.diag([1.0, -1.0]))
-
-
 class TestProduct:
     def test_distance_is_euclidean_combination(self, rng):
         TA, TB = lf.FlatTorus([1.0, 0.8]), lf.FlatTorus([1.2])
@@ -449,7 +414,6 @@ class TestProduct:
         q = P.point([0.1, 0.5, 0.5, 1.1], ((None, "bottom"), None))
         (seg,) = P.minimizing_geodesics(p, q)
         assert seg.lift[0] == P.factors[0].trivial_lift()
-        assert np.array_equal(P.transport(p, q, seg.lift), np.eye(4))
 
 
 KERNEL_SPACES = [
