@@ -28,6 +28,7 @@ from .energy import (
     dplus_distance,
     dplus_uniform_energy,
     energy_of_lengths,
+    exp_config,
     gradient_like,
     gradient_like_all,
     hessian_index_nullity,
@@ -61,7 +62,7 @@ from .geodesics import (
     torus_class_minind,
     variation_minind_profile,
 )
-from .spaces import Tangent, point_from_dict, space_from_dict
+from .spaces import point_from_dict, space_from_dict
 
 SCHEMA_VERSION = 1
 
@@ -106,6 +107,13 @@ def _checked(data: dict, key: str, where: str, rule, default=None):
     ``rule`` (a flow-parameter rule) under the field name ``where.key``."""
     value = _require(data, key, where) if default is None else data.get(key, default)
     check_rule(rule, value, f"{where}.{key}")
+    return value
+
+
+def _object(value, field: str) -> dict:
+    """``value`` when it is a JSON object; else a ValidationError naming ``field``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{field}: expected an object, got {value!r}")
     return value
 
 
@@ -254,7 +262,7 @@ def _run_openly(space, inputs, params, seed):
 
 
 def _run_probe(space, inputs, params, seed):
-    vdata = _require(inputs, "variation", "inputs")
+    vdata = _object(_require(inputs, "variation", "inputs"), "inputs.variation")
     geod = geodesic_from_dict(_require(vdata, "geodesic", "inputs.variation"), space,
                               "inputs.variation.geodesic")
     var = VariationSpec(
@@ -299,13 +307,9 @@ def _run_hessian(space, inputs, params, seed):
 def _run_flow(space, inputs, params, seed):
     x = _config_from_inputs(space, inputs, "inputs")
     if "perturb" in inputs:
-        mag = float(_checked(inputs["perturb"], "magnitude", "inputs.perturb", NONNEGATIVE))
-        rng = np.random.default_rng(seed)
-        pts = tuple(
-            space.exp_map(Tangent(p, rng.standard_normal(space.dim)), mag)
-            for p in x.points
-        )
-        x = Configuration(space, pts)
+        perturb = _object(inputs["perturb"], "inputs.perturb")
+        mag = float(_checked(perturb, "magnitude", "inputs.perturb", NONNEGATIVE))
+        x = exp_config(x, np.random.default_rng(seed).standard_normal((x.k, space.dim)), mag)
     method = inputs.get("method", "descend")
     if method not in ("descend", "birkhoff"):
         raise ValidationError("inputs.method: expected 'descend' or 'birkhoff'")
@@ -378,9 +382,7 @@ def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
     command = _require(scenario, "command", "scenario")
     if command not in COMMANDS:
         raise ValidationError(f"scenario.command: unknown command {command!r}")
-    seed = _require(scenario, "seed", "scenario")
-    if not isinstance(seed, int):
-        raise ValidationError("scenario.seed: expected an integer")
+    seed = _checked(scenario, "seed", "scenario", count_rule(0))
     params = _resolve_params(scenario, overrides)
 
     if "jobs" in scenario:
@@ -388,8 +390,9 @@ def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
     if overrides.get("jobs") is not None:
         check_rule(count_rule(1), overrides["jobs"], "params.jobs")
 
+    inputs = _object(scenario.get("inputs", {}), "inputs")
     if command == "sweep":
-        subs = _require(scenario.get("inputs", {}), "scenarios", "inputs")
+        subs = _require(inputs, "scenarios", "inputs")
         if not isinstance(subs, list) or not subs:
             raise ValidationError("inputs.scenarios: expected a nonempty list")
         jobs = overrides.get("jobs") or scenario.get("jobs", 2)
@@ -402,9 +405,6 @@ def execute_scenario(scenario: dict, overrides: dict | None = None) -> dict:
         if not params["tol"] < bound:
             raise ValidationError(f"params.tol: expected below min_scale/4 = {bound}, "
                                   f"got {params['tol']!r}")
-        inputs = scenario.get("inputs", {})
-        if not isinstance(inputs, dict):
-            raise ValidationError("inputs: expected an object")
         outputs = HANDLERS[command](space, inputs, params, seed)
 
     return {

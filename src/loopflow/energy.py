@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .spaces import DEFAULT_TOL, MinGeodesic, Point, Space, Tangent
+from .spaces import DEFAULT_TOL, MinGeodesic, Point, Space, _step
 
 COMPONENT_DEDUP_TOL = 1e-12
 MAX_CANDIDATE_TUPLES = 10**6
@@ -33,22 +34,62 @@ MAX_CANDIDATE_TUPLES = 10**6
 MAX_HESSIAN_DIM = 1024
 
 
-@dataclass(frozen=True, eq=False)
+def _roll(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
+    """``np.roll(a, shift, axis)`` for shift +-1, by slicing: several times
+    faster on the small arrays of a flow."""
+    lead = (slice(None),) * axis
+    head, tail = a[lead + (slice(-shift, None),)], a[lead + (slice(None, -shift),)]
+    return np.concatenate((head, tail), axis=axis)
+
+
 class Configuration:
-    """An ordered cyclic tuple of k >= 2 points of one space."""
+    """An ordered cyclic tuple of k >= 2 points of one space, held as what
+    the flows step: the (k, n) cover rows of its points (``Space._embed``)
+    and their chart frames (``Space._frame``; None on tori).
 
-    space: Space
-    points: tuple[Point, ...]
+    ``Configuration(space, points)`` keeps the points it is given; their rows
+    are built when first read.  ``of_rows`` keeps the rows and frames that
+    ``Space.step_batch`` gave; the points are built when first read.  Points
+    are never rebuilt from rows that were built from points: a bottom-face
+    coordinate need not survive the round trip through the cover."""
 
-    def __post_init__(self):
+    def __init__(self, space: Space, points):
+        self.space, self.points = space, tuple(points)
         if len(self.points) < 2:
             raise ValidationError("a configuration needs at least two points")
         for p in self.points:
-            self.space._check_point(p, "configuration point")
+            space._check_point(p, "configuration point")
+        self.k = len(self.points)
 
-    @property
-    def k(self) -> int:
-        return len(self.points)
+    @classmethod
+    def of_rows(cls, space: Space, cover: np.ndarray, frames: np.ndarray | None) -> "Configuration":
+        """The configuration of the ``step_batch`` rows ``cover`` and ``frames``."""
+        x = cls.__new__(cls)
+        x.space, x.cover, x.frames, x.k = space, cover, frames, len(cover)
+        return x
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return self.space.points_batch(self.cover)
+
+    @cached_property
+    def cover(self) -> np.ndarray:
+        return np.array([self.space._embed(p) for p in self.points])
+
+    @cached_property
+    def frames(self) -> np.ndarray | None:
+        frames = [self.space._frame(p) for p in self.points]
+        return None if frames[0] is None else np.array(frames)
+
+    def segment_batch(self, tol: float) -> tuple:
+        """``Space.segment_batch`` of the pairs (i, i + 1): ``(e0, sign,
+        lengths, unique, v0, v1)``, with the chart velocities v0 at point i
+        and v1 at point i + 1."""
+        e0, sign, lengths, unique = self.space.segment_batch(self.cover, _roll(self.cover, -1), tol)
+        e1 = sign * e0
+        if self.frames is None:
+            return e0, sign, lengths, unique, e0, e1
+        return e0, sign, lengths, unique, e0 * self.frames, e1 * _roll(self.frames, -1)
 
 
 def configuration(space: Space, coords, faces=None) -> Configuration:
@@ -139,12 +180,16 @@ def loop_energy(x: Configuration) -> LoopEnergy:
     return LoopEnergy(energy=energy_of_lengths(ds), length=sum(ds))
 
 
-def exp_config(x: Configuration, v: ConfigTangent, s: float) -> Configuration:
-    """Move every point along its tangent component for time s."""
-    pts = tuple(
-        x.space.exp_map(Tangent(p, vec), s) for p, vec in zip(x.points, v.vecs)
-    )
-    return Configuration(x.space, pts)
+def exp_config(x: Configuration, v, s: float) -> Configuration:
+    """Move every point along its tangent component for time s: one
+    ``Space.step_batch`` of the cover rows.  ``v`` is a ``ConfigTangent`` or
+    (k, n) rows of chart vectors.  Raises ``DegenerateTrajectoryError`` when
+    a point runs through a cone point."""
+    rows = v.stacked().reshape(x.k, -1) if isinstance(v, ConfigTangent) else np.asarray(v, dtype=float)
+    if rows.shape != x.cover.shape:
+        raise ValidationError("tangent has the wrong shape for the configuration")
+    disp = s * rows if x.frames is None else s * rows * x.frames
+    return Configuration.of_rows(x.space, *_step(x.space, x.cover, disp))
 
 
 def dplus_distance(space: Space, p: Point, q: Point, vp, wq, tol: float = DEFAULT_TOL) -> float:
@@ -399,7 +444,9 @@ def hessian_index_nullity(
 
     Requires a smooth critical point: every consecutive pair has a unique
     minimizing geodesic within ``tol`` and the candidate gradient of that
-    chain vanishes within ``zero_tol``.  Near such a point the energy is
+    chain vanishes within ``zero_tol``; one ``segment_batch`` decides that
+    where it certifies every pair, and the scalar listing elsewhere.  Near
+    such a point the energy is
     exactly ``k sum_i |T_i u_{i+1} - u_i + c_i|^2`` in the chart
     perturbations u_i, with c_i the lifted segment and T_i the diagonal
     ``frame_i sign_i frame_{i+1}`` that takes chart vectors at point i+1 to
@@ -422,27 +469,24 @@ def hessian_index_nullity(
         raise ResourceLimitError(
             f"Hessian dimension k*n = {k * n} exceeds MAX_HESSIAN_DIM = {MAX_HESSIAN_DIM}"
         )
-    seglists = segment_geodesics(x, tol)
-    for i, segs in enumerate(seglists):
-        if len(segs) != 1:
-            raise NotSmoothCriticalError(
-                f"segment {i} has {len(segs)} minimizing geodesics within tol"
-            )
-    chain = tuple(segs[0] for segs in seglists)
-    g = _candidate(x, chain)
-    if g.magnitude > zero_tol:
+    _, sign, lengths, unique, v0, v1 = x.segment_batch(tol)
+    if unique.all() and lengths.all():
+        magnitude = smooth_gradient(v0, v1, lengths)[1]
+    else:  # the scalar listing decides, and raises where it always has
+        seglists = segment_geodesics(x, tol)
+        for i, segs in enumerate(seglists):
+            if len(segs) != 1:
+                raise NotSmoothCriticalError(
+                    f"segment {i} has {len(segs)} minimizing geodesics within tol"
+                )
+        magnitude = _candidate(x, tuple(segs[0] for segs in seglists)).magnitude
+    if magnitude > zero_tol:
         raise NotSmoothCriticalError(
-            f"gradient-like magnitude {g.magnitude:.3e} exceeds zero_tol {zero_tol:.3e}"
+            f"gradient-like magnitude {magnitude:.3e} exceeds zero_tol {zero_tol:.3e}"
         )
 
-    # t_i = frame_i sign_i frame_{i+1}, from the cover rows of points i, i + 1
-    ring = x.points + x.points[:1]
-    rows = np.array([space._embed(p) for p in ring])
-    t = space.segment_batch(rows[:-1], rows[1:], tol)[1]
-    frames = [space._frame(p) for p in ring]
-    if frames[0] is not None:
-        frame = np.array(frames)
-        t = frame[:-1] * t * frame[1:]
+    # t_i = frame_i sign_i frame_{i+1}
+    t = sign if x.frames is None else x.frames * sign * _roll(x.frames, -1)
     # row i - 1 holds the gauge g_i = t_0 ... t_{i-1}, i = 1..k.  The last,
     # g_k, closes the cycle, and a mode g_i exp(2 pi i (j + theta) i / k)
     # takes at i = k its value at i = 0: the rows stand for the points
@@ -464,10 +508,11 @@ def hessian_index_nullity(
         f = m[j, c]
         modes = np.cos(np.outer(np.arange(1, k + 1), 2.0 * np.pi / k * f) - np.pi / 2 * (f > k / 2))
         modes *= gauge[:, c] / np.linalg.norm(modes, axis=0)
-        # velocity of the associated loop at each point: the unique chain
-        v0 = np.array([seg.v0 for seg in chain[1:] + chain[:1]])
+        # each mode along the velocity of the associated loop (the unique
+        # chain's v0) at the points 1, ..., k-1, 0
+        rows = _roll(v0, -1)[:, c] * modes
         # ``np.linalg.matrix_rank(tol=1e-8)``, without its wrapping
-        rank = np.count_nonzero(np.linalg.svd(v0[:, c] * modes, compute_uv=False) > 1e-8)
+        rank = np.count_nonzero(np.linalg.svd(rows, compute_uv=False) > 1e-8)
         degenerate = bool(nullity > rank)
 
     return HessianReport(

@@ -27,8 +27,8 @@ import numpy as np
 
 from .energy import (
     CandidateGradient,
-    ConfigTangent,
     Configuration,
+    _roll,
     energy_of_lengths,
     exp_config,
     gradient_like,
@@ -49,8 +49,7 @@ from .errors import (
 from .geodesics import (
     TWO_PI,
     ClosedGeodesic,
-    _points,
-    _step,
+    _cover,
     geodesic_from_chain,
     max_cut_pair,
     minimizing_index,
@@ -156,36 +155,15 @@ def _chord_midpoints(x: Configuration, tol: float) -> list:
 
 
 class _Iterate:
-    """One flow iterate: the (k, n) cover rows of its points and their chart
-    frames (``Space._embed``, ``Space._frame``), with the ``segment_batch``
-    kernel of its consecutive pairs.  Its points are built only when
-    ``config`` is read.  Each operation gives the scalar path's bits; one
-    that meets a tie or a collision takes the scalar path, and a move
-    through a cone raises, as the scalar move does."""
+    """One flow iterate: a configuration and the ``segment_batch`` of its
+    consecutive pairs.  Each operation gives the scalar path's bits; one
+    that meets a tie or a collision takes the scalar path (``gradient_like``,
+    ``_nudge_collisions``, ``_chord_midpoints``), and a move is one
+    ``exp_config``, which raises through a cone as the scalar move does."""
 
-    def __init__(self, space, tol, cover, frame, config=None):
-        self.space, self.tol, self._config = space, tol, config
-        self.cover, self.frame = cover, frame
-        self.e0, sign, self.lengths, self.unique = space.segment_batch(
-            cover, np.concatenate((cover[1:], cover[:1])), tol
-        )
-        e1 = sign * self.e0
-        # chart velocities: v0 at each point, v1 at the next
-        self.v0, self.v1 = self.e0, e1
-        if frame is not None:
-            self.v0, self.v1 = self.e0 * frame, e1 * np.concatenate((frame[1:], frame[:1]))
-
-    @classmethod
-    def of(cls, x: Configuration, tol: float) -> "_Iterate":
-        frames = [x.space._frame(p) for p in x.points]
-        return cls(x.space, tol, np.array([x.space._embed(p) for p in x.points]),
-                   None if frames[0] is None else np.array(frames), x)
-
-    @property
-    def config(self) -> Configuration:
-        if self._config is None:
-            self._config = Configuration(self.space, self.space.points_batch(self.cover))
-        return self._config
+    def __init__(self, config: Configuration, tol: float):
+        self.config, self.tol = config, tol
+        self.e0, _, self.lengths, self.unique, self.v0, self.v1 = config.segment_batch(tol)
 
     @cached_property
     def energy(self) -> float:
@@ -196,7 +174,7 @@ class _Iterate:
         if (self.lengths > COLLIDE_TOL).all():
             return self
         x = _nudge_collisions(self.config, n, log)
-        return self if x is self.config else _Iterate.of(x, self.tol)
+        return self if x is self.config else _Iterate(x, self.tol)
 
     def gradient(self) -> tuple[np.ndarray, float]:
         """Components (k, n) and magnitude of the gradient-like vector."""
@@ -208,21 +186,19 @@ class _Iterate:
     def moved(self, direction: np.ndarray, s: float) -> "_Iterate":
         """Every point moved along its row of ``direction`` for time s;
         ``DegenerateTrajectoryError`` when one runs through a cone."""
-        disp = s * direction if self.frame is None else s * direction * self.frame
-        return _Iterate(self.space, self.tol, *_step(self.space, self.cover, disp))
+        return _Iterate(exp_config(self.config, direction, s), self.tol)
 
     def midpoints(self, rotate: bool = False) -> "_Iterate":
         """``_chord_midpoints``; with ``rotate`` the last midpoint comes first."""
-        rows = None
+        x, rows = self.config, None
         if self.unique.all() and (self.lengths > COLLIDE_TOL).all():
-            rows = self.space.step_batch(self.cover, (self.lengths / 2.0)[:, None] * self.e0)
+            rows = x.space.step_batch(x.cover, (self.lengths / 2.0)[:, None] * self.e0)
         if rows is None:
-            mids = _chord_midpoints(self.config, self.tol)
-            mids = mids[-1:] + mids[:-1] if rotate else mids
-            return _Iterate.of(Configuration(self.space, tuple(mids)), self.tol)
+            mids = _chord_midpoints(x, self.tol)
+            return _Iterate(Configuration(x.space, mids[-1:] + mids[:-1] if rotate else mids), self.tol)
         if rotate:
-            rows = [None if r is None else np.concatenate((r[-1:], r[:-1])) for r in rows]
-        return _Iterate(self.space, self.tol, *rows)
+            rows = [None if r is None else _roll(r, 1) for r in rows]
+        return _Iterate(Configuration.of_rows(x.space, *rows), self.tol)
 
 
 def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
@@ -232,7 +208,7 @@ def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
     ``(trial, error)``.  It stops on an error, at ``max_iters``, or after a
     step that decreased the energy by at most ``energy_tol``."""
     nudges: list = []
-    it = _Iterate.of(_nudge_collisions(x0, 0, nudges), params.tol)
+    it = _Iterate(_nudge_collisions(x0, 0, nudges), params.tol)
     energy = it.energy
     rec: list = []
     status, err = "max_iters", None
@@ -269,14 +245,6 @@ def _run_flow(x0: Configuration, params: FlowParams, advance) -> FlowTrace:
     )
 
 
-def _roll(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
-    """``np.roll(a, shift, axis)`` for shift +-1, by slicing: several times
-    faster on the small arrays of a flow."""
-    lead = (slice(None),) * axis
-    head, tail = a[lead + (slice(-shift, None),)], a[lead + (slice(None, -shift),)]
-    return np.concatenate((head, tail), axis=axis)
-
-
 def _closed_form_flow(x0: Configuration, params: FlowParams, h: float,
                       birkhoff: bool = False) -> FlowTrace | None:
     """The flow of step h in closed form, or None where it does not apply.
@@ -302,7 +270,7 @@ def _closed_form_flow(x0: Configuration, params: FlowParams, h: float,
     # a torus has no cone and its deck transforms are translations: no pair
     # needs the developed rows, and every segment's sign is +1
     torus = effective_periods(space) is not None
-    cover = np.array([space._embed(p) for p in x0.points])
+    cover = x0.cover
     ahead = _roll(cover, -1)
     k, dim = cover.shape
     sign = np.ones_like(cover) if torus else space.segment_batch(cover, ahead, tol)[1]
@@ -338,8 +306,7 @@ def _closed_form_flow(x0: Configuration, params: FlowParams, h: float,
             return x0
         d = np.fft.irfft(lam[:, None] ** ns[i] * spec, k, axis=0)
         x = developed(firsts[i:i + 1], d[None])[0]
-        rows, _ = space.step_batch(x, np.zeros_like(x))  # the points' canonical rows
-        return Configuration(space, space.points_batch(rows))
+        return Configuration.of_rows(space, *space.step_batch(x, np.zeros_like(x)))  # canonical rows
 
     # |g^n| <= rho^n |g^0| sizes the first block; a block holds about 1 MB at most
     rho, g0 = np.abs(lam[1:]).max(initial=0.0), np.linalg.norm(_roll(d0, 1) - d0)
@@ -473,7 +440,7 @@ class RestartReport:
     before_minind: int
     configuration: Configuration | None
     direction: CandidateGradient | None
-    status: str  # improved | unchanged | collapsed | no_restart | error
+    status: str  # improved | unchanged | worse | collapsed | no_restart | error
     perturb_eps: float | None = None
     trace: FlowTrace | None = None
     after: ClosedGeodesic | None = None
@@ -504,13 +471,12 @@ def restart_step(
             f"restart at index {k} exceeds MAX_RESTART_POINTS = {MAX_RESTART_POINTS}")
     cut = max_cut_pair(g, k, tol)
     t0 = 0.0 if cut is None else cut.t
-    x = Configuration(g.space, _points(g, t0 + TWO_PI * np.arange(k) / k))
+    x = Configuration.of_rows(g.space, *_cover(g, t0 + TWO_PI * np.arange(k) / k))
     grad = gradient_like(x, tol)
     if grad.magnitude <= params.grad_tol:
         return RestartReport(g, k, x, grad, "no_restart")
     eps = params.perturb_eps if params.perturb_eps is not None else 0.05 * g.space.min_scale()
-    unit = ConfigTangent(tuple(-v / grad.magnitude for v in grad.vecs))
-    x1 = exp_config(x, unit, eps)
+    x1 = exp_config(x, -np.array(grad.vecs) / grad.magnitude, eps)
     trace = descend(x1, params)
     if trace.status != "converged":
         return RestartReport(g, k, x, grad, "error", eps, trace)
@@ -519,7 +485,7 @@ def restart_step(
     try:
         after = classify_limit(limit, tol=classify_tol)
         after_minind = minimizing_index(after, tol)
-        status = "improved" if after_minind < k else "unchanged"
+        status = "improved" if after_minind < k else "worse" if after_minind > k else "unchanged"
     except NonGeodesicLimitError:
         after, after_minind, status = None, None, "collapsed"
     return RestartReport(g, k, x, grad, status, eps, trace, after, after_minind)

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     POSITIVE,
     ClosureError,
-    DegenerateTrajectoryError,
     GeometryError,
     ResourceLimitError,
     SpaceSupportError,
@@ -48,6 +47,7 @@ from .spaces import (
     Point,
     Space,
     Tangent,
+    _step,
     effective_periods,
     point_from_dict,
     point_to_dict,
@@ -83,15 +83,6 @@ class ClosedGeodesic:
     @property
     def kind(self) -> str:
         return "torus_class" if self.klass is not None else "segment_loop"
-
-
-def _step(space: Space, C: np.ndarray, D: np.ndarray) -> tuple:
-    """``Space.step_batch`` of the cover rows C along the cover displacements
-    D; raises ``DegenerateTrajectoryError`` when one runs through a cone."""
-    out = space.step_batch(C, D)
-    if out is None:
-        raise DegenerateTrajectoryError("trajectory passes through a cone point")
-    return out
 
 
 def torus_class_geodesic(space: Space, base: Point, klass) -> ClosedGeodesic:

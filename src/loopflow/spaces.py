@@ -175,12 +175,18 @@ class Space:
     # -- flows ---------------------------------------------------------------
 
     def flow(self, tan: Tangent, s: float):
-        """Straight-line flow for time ``s``.
+        """Straight-line flow for time ``s``: one ``step_batch`` row.
 
         Returns ``(endpoint, velocity)`` where ``velocity`` is the tangent
-        vector expressed in the endpoint's chart.
+        vector expressed in the endpoint's chart; raises
+        ``DegenerateTrajectoryError`` when the line runs through a cone point.
         """
-        raise NotImplementedError
+        self._check_point(tan.base)
+        vec = _as_vector(tan.vec, self.dim, "tangent vector")
+        frame = self._frame(tan.base)
+        start, cover_vec = self._embed(tan.base)[None], (vec if frame is None else frame * vec)[None]
+        (end,) = self.points_batch(_step(self, start, s * cover_vec)[0])
+        return end, self.chart_batch(start + s * cover_vec, cover_vec)[1][0]
 
     def exp_map(self, tan: Tangent, s: float) -> Point:
         return self.flow(tan, s)[0]
@@ -192,15 +198,16 @@ class Space:
         raise NotImplementedError
 
     # -- array step ------------------------------------------------------------
-    # The flows keep a configuration as (k, dim) cover rows (``_embed``) and
-    # their chart frames (``_frame``; None on tori), and a closed geodesic is
-    # a cover row and a closing cover displacement.  Each backend gives
+    # A configuration is (k, dim) cover rows (``_embed``) and their chart
+    # frames (``_frame``; None on tori), and a closed geodesic is a cover row
+    # and a closing cover displacement.  Each backend gives
     # ``segment_batch(A, B, tol) -> (e0, sign, length, unique)``,
     # ``minimizing_geodesics`` of the rows (A[j], B[j]) in the cover frame
     # where ``unique`` certifies one minimizer; ``step_batch(C, D)``, the rows
-    # and frames that ``flow`` reaches along cover displacements D, or None
-    # near a cone; ``points_batch``, the points of rows that ``step_batch``
-    # gave; and ``chart_batch``, charts of rows anywhere in the cover.
+    # and frames reached along cover displacements D, or None near a cone
+    # (every move is one, ``flow`` included); ``points_batch``, the points of
+    # rows that ``step_batch`` gave; and ``chart_batch``, charts of rows
+    # anywhere in the cover.
     # ``cover_periods`` are the periods of the cover torus, per coordinate.
 
     def _embed(self, p: Point) -> np.ndarray:
@@ -227,6 +234,15 @@ class Space:
             raise DimensionMismatchError(
                 f"{what}: expected dimension {self.dim}, got {p.coords.shape}"
             )
+
+
+def _step(space: Space, C: np.ndarray, D: np.ndarray) -> tuple:
+    """``Space.step_batch`` of the cover rows C along the cover displacements
+    D; raises ``DegenerateTrajectoryError`` when one runs through a cone."""
+    out = space.step_batch(C, D)
+    if out is None:
+        raise DegenerateTrajectoryError("trajectory passes through a cone point")
+    return out
 
 
 def _length(v: np.ndarray) -> float:
@@ -342,11 +358,6 @@ class FlatTorus(Space):
 
     def trivial_lift(self):
         return (0,) * self.dim
-
-    def flow(self, tan: Tangent, s: float):
-        self._check_point(tan.base)
-        vec = _as_vector(tan.vec, self.dim, "tangent vector")
-        return self.point(tan.base.coords + s * vec), vec.copy()
 
     def min_scale(self) -> float:
         return float(self.periods.min())
@@ -553,22 +564,6 @@ class DoubledRectangle(Space):
     def trivial_lift(self):
         return (0, 0, 0)
 
-    # -- flows ----------------------------------------------------------------
-
-    def flow(self, tan: Tangent, s: float):
-        self._check_point(tan.base)
-        vec = _as_vector(tan.vec, 2, "tangent vector")
-        start = self._embed(tan.base)
-        cover_vec = self._chart_matrix(tan.base.face) @ vec
-        disp = s * cover_vec
-        if self._near_cone(start[None], disp[None], CONE_CLEARANCE)[0]:
-            raise DegenerateTrajectoryError("trajectory passes through a cone point")
-        u, (sign,) = self._fold((start + disp)[None])
-        (chart,), (bottom,) = self._chart(u)
-        end = self.point(chart, BOTTOM if bottom else TOP)
-        # cover vectors at the end reach its chart through the deck transform
-        return end, sign * self._chart_matrix(end.face) @ cover_vec
-
     def min_scale(self) -> float:
         return min(self.a, self.b)
 
@@ -732,13 +727,6 @@ class Product(Space):
 
     def trivial_lift(self):
         return tuple(f.trivial_lift() for f in self.factors)
-
-    def flow(self, tan: Tangent, s: float):
-        self._check_point(tan.base)
-        vec = _as_vector(tan.vec, self.dim, "tangent vector")
-        ends, vels = zip(*(f.flow(Tangent(p0, v0), s) for f, p0, v0 in
-                           zip(self.factors, self._split_point(tan.base), self._split(vec))))
-        return self._join(list(ends)), np.concatenate(vels)
 
     def loop_arcs(self, start, disp, k, tol=DEFAULT_TOL):
         # a product pair is minimizing exactly when every factor pair is, and

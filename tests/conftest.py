@@ -18,6 +18,7 @@ import pytest
 from hypothesis import settings
 
 import loopflow as lf
+from loopflow.spaces import CONE_CLEARANCE
 
 # CI draws the same examples on every run, so a failure reproduces locally
 # with ``--hypothesis-profile=ci``
@@ -336,14 +337,48 @@ def scalar_check_variation(var, s, shifted, tol=1e-9):
     always has."""
     g = var.geodesic
     for t in np.linspace(0.0, 2.0 * math.pi, 9)[:-1]:
-        expected = g.space.exp_map(lf.Tangent(lf.point_at(g, t), var.field), s)
+        expected = scalar_flow(g.space, lf.Tangent(lf.point_at(g, t), var.field), s)[0]
         if g.space.distance(expected, lf.point_at(shifted, t)) > max(tol, 1e-8):
             raise lf.GeometryError(f"variation is not a synchronized flow at s={s}, t={t}")
         if var.perpendicular and abs(float(var.field @ lf.velocity_at(g, t))) > max(tol, 1e-8):
             raise lf.ValidationError("variation field is not perpendicular to the loop")
 
 
-# -- the scalar flow as reference for the loop representation ----------------------
+# -- the scalar flow as reference for the array step ---------------------------------
+
+
+def scalar_flow(space, tan, s):
+    """The straight-line flow of one point, backend by backend, as each
+    backend computed it before one ``step_batch`` row served every move:
+    ``(end point, chart velocity at the end)``.  On the doubled rectangle the
+    cover vector is the face chart matrix times the chart vector, the end is
+    folded back by the deck group and clamped by ``point`` (edge points to
+    the top face), and the velocity reaches the end's chart through the
+    deck transform's sign; a line within ``CONE_CLEARANCE`` of a cone point
+    raises ``DegenerateTrajectoryError``.  A product flows factor by factor."""
+    vec = np.asarray(tan.vec, dtype=float)
+    if isinstance(space, lf.Product):
+        ends, vels = zip(*(scalar_flow(f, lf.Tangent(p, v), s) for f, p, v in
+                           zip(space.factors, space._split_point(tan.base), space._split(vec))))
+        return space._join(list(ends)), np.concatenate(vels)
+    if isinstance(space, lf.DoubledRectangle):
+        start = space._embed(tan.base)
+        cover_vec = space._chart_matrix(tan.base.face) @ vec
+        disp = s * cover_vec
+        if space._near_cone(start[None], disp[None], CONE_CLEARANCE)[0]:
+            raise lf.DegenerateTrajectoryError("trajectory passes through a cone point")
+        u, (sign,) = space._fold((start + disp)[None])
+        (chart,), (bottom,) = space._chart(u)
+        end = space.point(chart, "bottom" if bottom else "top")
+        return end, sign * space._chart_matrix(end.face) @ cover_vec
+    return space.point(tan.base.coords + s * vec), vec.copy()
+
+
+def scalar_exp_config(x, rows, s):
+    """Every point of x moved along its row of chart vectors for time s by
+    ``scalar_flow``, one point at a time."""
+    return lf.Configuration(x.space, tuple(scalar_flow(x.space, lf.Tangent(p, v), s)[0]
+                                           for p, v in zip(x.points, rows, strict=True)))
 
 
 def scalar_loop_closure(space, base, direction, length, closure_tol=1e-9):
@@ -360,12 +395,12 @@ def scalar_loop_closure(space, base, direction, length, closure_tol=1e-9):
     """
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    end, vel = space.flow(lf.Tangent(base, direction), length)
+    end, vel = scalar_flow(space, lf.Tangent(base, direction), length)
     if space.distance(base, end) > closure_tol:
         raise lf.ClosureError("loop does not return to its base point")
     h = (math.sqrt(5.0) - 2.0) * length
-    _, u = space.flow(lf.Tangent(base, direction), h)
-    _, v = space.flow(lf.Tangent(end, vel), h)
+    _, u = scalar_flow(space, lf.Tangent(base, direction), h)
+    _, v = scalar_flow(space, lf.Tangent(end, vel), h)
     if float(np.linalg.norm(u - v)) > closure_tol:
         raise lf.ClosureError("loop returns with a different direction")
 
@@ -379,5 +414,5 @@ def scalar_loop_point(g, t):
     else:
         direction = g.klass * lf.effective_periods(g.space) / g.length
     frac = (t % (2.0 * math.pi)) / (2.0 * math.pi)
-    end, vel = g.space.flow(lf.Tangent(g.base, direction), frac * g.length)
+    end, vel = scalar_flow(g.space, lf.Tangent(g.base, direction), frac * g.length)
     return end, vel

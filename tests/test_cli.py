@@ -413,6 +413,24 @@ class TestRunScenario:
         assert run_scenario(write(tmp_path, "bad.json", bad), str(tmp_path / "r.json")) == 2
         return capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [None, "x", -1, 1e308, [], [1], True])
+    @pytest.mark.parametrize("doc, path", [
+        (FLOW_NOISY, ("inputs",)),
+        (FLOW_NOISY, ("inputs", "perturb")),
+        (SLIDE_PROBE, ("inputs", "variation")),
+        (SWEEP, ("inputs",)),
+    ])
+    def test_non_object_nested_field_exits_2(self, tmp_path, capsys, doc, path, value):
+        # most of these used to end in a TypeError traceback
+        err = self._bad_document_exits_2(tmp_path, capsys, doc, path, value)
+        assert f"{'.'.join(path)}: expected an object" in err
+
+    @pytest.mark.parametrize("value", [-1, True, 2.5, "0", None])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, value):
+        # -1 used to reach numpy's default_rng and end in a ValueError traceback
+        err = self._bad_document_exits_2(tmp_path, capsys, FLOW_NOISY, ("seed",), value)
+        assert "scenario.seed: expected an integer >= 0" in err
+
     def test_string_torus_period_exits_2(self, tmp_path, capsys):
         # used to end in a ValueError traceback
         err = self._bad_document_exits_2(tmp_path, capsys, MININD_12, ("space", "periods", 0), "x")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import loopflow as lf
 import loopflow.flow
+from conftest import scalar_exp_config, scalar_flow
 from loopflow.spaces import CONE_CLEARANCE
 
 TREC = lf.FlatTorus([1.0, 0.75])
@@ -174,6 +175,27 @@ class TestRestartStep:
             report = lf.restart_step(g)
             if report.after_minind is not None:
                 assert report.after_minind <= report.before_minind
+
+    def test_a_limit_of_higher_index_reads_worse(self, monkeypatch):
+        # the limit's index, patched above the start's: the report must not
+        # read "unchanged", and the ladder stops there
+        calls = []
+
+        def minind(g, tol=1e-9):
+            calls.append(g)
+            return 4 if len(calls) == 1 else 9
+
+        monkeypatch.setattr(lf.flow, "minimizing_index", minind)
+        g = lf.torus_class_geodesic(TREC, TREC.point([0.125, 0.0625]), [1, 2])
+        report = lf.restart_step(g)
+        assert (report.status, report.before_minind, report.after_minind) == ("worse", 4, 9)
+        calls.clear()
+        assert [r.status for r in lf.restart_until_stable(g, max_rounds=3)] == ["worse"]
+
+    def test_a_limit_of_equal_index_reads_unchanged(self, monkeypatch):
+        monkeypatch.setattr(lf.flow, "minimizing_index", lambda g, tol=1e-9: 4)
+        g = lf.torus_class_geodesic(TREC, TREC.point([0.125, 0.0625]), [1, 2])
+        assert lf.restart_step(g).status == "unchanged"
 
     def test_doubled_rectangle_rejected(self):
         D = lf.DoubledRectangle(2.0, 1.0)
@@ -480,18 +502,19 @@ class TestArrayStep:
 
     def test_move_past_a_cone_raises(self):
         x = lf.configuration(D21, [[1.9, 0.9], [1.0, 0.5], [0.5, 0.2]], ["top", "top", "top"])
-        it = lf.flow._Iterate.of(x, 1e-9)
+        it = lf.flow._Iterate(x, 1e-9)
         direction = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(lf.DegenerateTrajectoryError):
-            it.moved(direction, 0.2)  # point 0 runs into the corner (2, 1)
+        for move in (it.moved, lambda d, s: scalar_exp_config(x, d, s)):
+            with pytest.raises(lf.DegenerateTrajectoryError):
+                move(direction, 0.2)  # point 0 runs into the corner (2, 1)
         moved = it.moved(direction, 0.05)  # clear of it: the array step
-        assert_same_points(moved.config, lf.exp_config(x, lf.ConfigTangent(tuple(direction)), 0.05))
+        assert_same_points(moved.config, scalar_exp_config(x, direction, 0.05))
 
     def test_step_onto_a_vertical_edge_lands_on_the_top_face(self):
         x = lf.configuration(D21, [[0.5, 0.3], [1.5, 0.3], [1.0, 0.6]], ["bottom", "bottom", "top"])
         direction = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        moved = lf.flow._Iterate.of(x, 1e-9).moved(direction, 0.5)
-        scalar = lf.exp_config(x, lf.ConfigTangent(tuple(direction)), 0.5)
+        moved = lf.flow._Iterate(x, 1e-9).moved(direction, 0.5)
+        scalar = scalar_exp_config(x, direction, 0.5)
         assert [p.face for p in scalar.points] == ["top", "top", "top"]
         assert_same_points(moved.config, scalar)
 
@@ -499,8 +522,15 @@ class TestArrayStep:
         # 0.3 on the bottom face embeds as 2 - 0.3, which does not fold back to 0.3
         x = lf.configuration(D21, [[0.3, 0.3], [0.3, 0.3 + 1e-13], [1.0, 0.6]],
                              ["bottom", "bottom", "top"])
-        mids = lf.flow._Iterate.of(x, 1e-9).midpoints(rotate=True).config
-        scalar = lf.flow._chord_midpoints(x, 1e-9)
+        mids = lf.flow._Iterate(x, 1e-9).midpoints(rotate=True).config
+        scalar = []
+        for a, b in zip(x.points, x.points[1:] + x.points[:1]):
+            if D21.distance(a, b) <= lf.flow.COLLIDE_TOL:
+                scalar.append(a)
+            else:
+                seg = D21.minimizing_geodesics(a, b)[0]
+                scalar.append(scalar_flow(D21, lf.Tangent(a, seg.v0), seg.length / 2.0)[0])
+        assert mids.points[1] is x.points[0]
         assert_same_points(mids, lf.Configuration(D21, tuple(scalar[-1:] + scalar[:-1])))
 
     def test_bottom_point_an_ulp_below_the_edge_keeps_its_chart(self):
@@ -508,8 +538,8 @@ class TestArrayStep:
         y = np.nextafter(1.0, 0.0)
         x = lf.configuration(D21, [[0.5, y], [1.5, 0.3], [1.0, 0.6]], ["bottom", "top", "top"])
         direction = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        moved = lf.flow._Iterate.of(x, 1e-9).moved(direction, 0.1)
-        scalar = lf.exp_config(x, lf.ConfigTangent(tuple(direction)), 0.1)
+        moved = lf.flow._Iterate(x, 1e-9).moved(direction, 0.1)
+        scalar = scalar_exp_config(x, direction, 0.1)
         assert scalar.points[0].face == "top"
         assert_same_points(moved.config, scalar)
 

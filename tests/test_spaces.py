@@ -14,6 +14,8 @@ from conftest import (
     brute_double_minimizers,
     brute_torus_distance,
     brute_torus_minimizers,
+    scalar_exp_config,
+    scalar_flow,
 )
 from loopflow.spaces import wrap
 
@@ -303,6 +305,81 @@ class TestExpMap:
         # just short of the edge the end is still on the bottom face, moving along -x
         end, vel = D21.flow(lf.Tangent(start, np.array([-1.0, 0.0])), 0.25)
         assert end.face == "bottom" and np.array_equal(vel, [-1.0, 0.0])
+
+
+FLOW_SPACES = {
+    "T21": T21,
+    "D21": D21,
+    "T1xD21": lf.Product([lf.FlatTorus([1.25]), D21]),
+    "T21xT1": lf.Product([T21, lf.FlatTorus([1.25])]),
+}
+
+
+@st.composite
+def based_tangents(draw, k=1):
+    """A space of FLOW_SPACES, k of its points (doubled-rectangle ones on
+    either face, often on an edge) and k chart vectors."""
+    space = FLOW_SPACES[draw(st.sampled_from(sorted(FLOW_SPACES)))]
+    factors = space.factors if isinstance(space, lf.Product) else [space]
+    points, vecs = [], []
+    for _ in range(k):
+        coords, faces = [], []
+        for f in factors:
+            if isinstance(f, lf.DoubledRectangle):
+                coords += [draw(st.sampled_from([0.0, f.a]) | st.floats(0.0, f.a)),
+                           draw(st.sampled_from([0.0, f.b]) | st.floats(0.0, f.b))]
+                faces.append(draw(st.sampled_from(["top", "bottom"])))
+            else:
+                coords += [draw(st.floats(0.0, 3.0)) for _ in range(f.dim)]
+                faces.append(None)
+        face = faces[0] if len(faces) == 1 else (None if not any(faces) else tuple(faces))
+        points.append(space.point(coords) if face is None else space.point(coords, face))
+        vecs.append(np.array([draw(st.floats(-3.0, 3.0)) for _ in range(space.dim)]))
+    return space, points, np.array(vecs)
+
+
+def flow_or_error(flow, *args):
+    try:
+        return flow(*args)
+    except lf.DegenerateTrajectoryError:
+        return "cone"
+
+
+class TestArrayFlow:
+    """``Space.flow`` and ``exp_config`` are ``step_batch`` rows; they move
+    points bit for bit as the scalar per-backend flows did."""
+
+    @given(based_tangents(), st.floats(-2.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_flow_is_the_scalar_flow(self, case, s):
+        space, (p,), (v,) = case
+        got, want = (flow_or_error(f, space, lf.Tangent(p, v), s)
+                     for f in (lambda sp, t, s: sp.flow(t, s), scalar_flow))
+        assert (got == "cone") == (want == "cone")
+        if got != "cone":
+            assert np.array_equal(got[0].coords, want[0].coords) and got[0].face == want[0].face
+            assert np.array_equal(got[1], want[1])
+
+    @given(based_tangents(k=5), st.floats(-1.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_exp_config_is_the_scalar_flow_of_every_point(self, case, s):
+        space, points, rows = case
+        x = lf.Configuration(space, points)
+        got, want = (flow_or_error(f, x, rows, s) for f in (lf.exp_config, scalar_exp_config))
+        assert (got == "cone") == (want == "cone")
+        if got != "cone":
+            for a, b in zip(got.points, want.points, strict=True):
+                assert np.array_equal(a.coords, b.coords) and a.face == b.face
+            # and the moved rows are the rows of the moved points
+            assert np.array_equal(lf.Configuration(space, got.points).cover, got.cover)
+
+    def test_exp_config_takes_a_config_tangent(self):
+        x = lf.configuration(D21, [[0.5, 0.3], [1.5, 0.3]], ["bottom", "top"])
+        rows = np.array([[0.0, 1.0], [1.0, 0.5]])
+        by_rows, by_tangent = lf.exp_config(x, rows, 0.2), lf.exp_config(x, lf.ConfigTangent.of(x, rows), 0.2)
+        assert np.array_equal(by_rows.cover, by_tangent.cover)
+        with pytest.raises(lf.ValidationError):
+            lf.exp_config(x, rows[:1], 0.2)
 
 
 class TestCutPairs:
