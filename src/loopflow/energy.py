@@ -185,7 +185,7 @@ def exp_config(x: Configuration, v, s: float) -> Configuration:
     ``Space.step_batch`` of the cover rows.  ``v`` is a ``ConfigTangent`` or
     (k, n) rows of chart vectors.  Raises ``DegenerateTrajectoryError`` when
     a point runs through a cone point."""
-    rows = v.stacked().reshape(x.k, -1) if isinstance(v, ConfigTangent) else np.asarray(v, dtype=float)
+    rows = np.asarray(v.stacked().reshape(x.k, -1) if isinstance(v, ConfigTangent) else v, float)
     if rows.shape != x.cover.shape:
         raise ValidationError("tangent has the wrong shape for the configuration")
     disp = s * rows if x.frames is None else s * rows * x.frames
@@ -463,8 +463,7 @@ def hessian_index_nullity(
     rank test over the real null modes.  O(k n) besides that test; k n above
     ``MAX_HESSIAN_DIM`` raises ``ResourceLimitError``.
     """
-    space, k = x.space, x.k
-    n = space.dim
+    k, n = x.k, x.space.dim
     if k * n > MAX_HESSIAN_DIM:
         raise ResourceLimitError(
             f"Hessian dimension k*n = {k * n} exceeds MAX_HESSIAN_DIM = {MAX_HESSIAN_DIM}"

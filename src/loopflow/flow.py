@@ -195,7 +195,8 @@ class _Iterate:
             rows = x.space.step_batch(x.cover, (self.lengths / 2.0)[:, None] * self.e0)
         if rows is None:
             mids = _chord_midpoints(x, self.tol)
-            return _Iterate(Configuration(x.space, mids[-1:] + mids[:-1] if rotate else mids), self.tol)
+            mids = mids[-1:] + mids[:-1] if rotate else mids
+            return _Iterate(Configuration(x.space, mids), self.tol)
         if rotate:
             rows = [None if r is None else _roll(r, 1) for r in rows]
         return _Iterate(Configuration.of_rows(x.space, *rows), self.tol)
@@ -306,7 +307,8 @@ def _closed_form_flow(x0: Configuration, params: FlowParams, h: float,
             return x0
         d = np.fft.irfft(lam[:, None] ** ns[i] * spec, k, axis=0)
         x = developed(firsts[i:i + 1], d[None])[0]
-        return Configuration.of_rows(space, *space.step_batch(x, np.zeros_like(x)))  # canonical rows
+        # the step by zero gives the points' canonical rows
+        return Configuration.of_rows(space, *space.step_batch(x, np.zeros_like(x)))
 
     # |g^n| <= rho^n |g^0| sizes the first block; a block holds about 1 MB at most
     rho, g0 = np.abs(lam[1:]).max(initial=0.0), np.linalg.norm(_roll(d0, 1) - d0)

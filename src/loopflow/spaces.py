@@ -184,9 +184,9 @@ class Space:
         self._check_point(tan.base)
         vec = _as_vector(tan.vec, self.dim, "tangent vector")
         frame = self._frame(tan.base)
-        start, cover_vec = self._embed(tan.base)[None], (vec if frame is None else frame * vec)[None]
-        (end,) = self.points_batch(_step(self, start, s * cover_vec)[0])
-        return end, self.chart_batch(start + s * cover_vec, cover_vec)[1][0]
+        start, cover_vec = self._embed(tan.base), vec if frame is None else frame * vec
+        (end,) = self.points_batch(_step(self, start[None], s * cover_vec[None])[0])
+        return end, self.chart_batch((start + s * cover_vec)[None], cover_vec[None])[1][0]
 
     def exp_map(self, tan: Tangent, s: float) -> Point:
         return self.flow(tan, s)[0]
