@@ -444,11 +444,10 @@ def hessian_index_nullity(
 
     Requires a smooth critical point: every consecutive pair has a unique
     minimizing geodesic within ``tol`` and the candidate gradient of that
-    chain vanishes within ``zero_tol``; one ``segment_batch`` decides that
-    where it certifies every pair, and the scalar listing elsewhere.  Near
-    such a point the energy is
-    exactly ``k sum_i |T_i u_{i+1} - u_i + c_i|^2`` in the chart
-    perturbations u_i, with c_i the lifted segment and T_i the diagonal
+    chain vanishes within ``zero_tol``.  One ``segment_batch`` decides that
+    where it certifies every pair, the scalar listing elsewhere.  Near such
+    a point the energy is exactly ``k sum_i |T_i u_{i+1} - u_i + c_i|^2`` in
+    the chart perturbations u_i, with c_i the lifted segment and T_i the diagonal
     ``frame_i sign_i frame_{i+1}`` that takes chart vectors at point i+1 to
     point i (``sign_i``: the deck sign of ``Space.segment_batch``).  So the
     Hessian ``2k sum_i B_i^T B_i``, ``B_i = (-I at i, T_i at i+1)``, is one

@@ -158,8 +158,8 @@ class _Iterate:
     """One flow iterate: a configuration and the ``segment_batch`` of its
     consecutive pairs.  Each operation gives the scalar path's bits; one
     that meets a tie or a collision takes the scalar path (``gradient_like``,
-    ``_nudge_collisions``, ``_chord_midpoints``), and a move is one
-    ``exp_config``, which raises through a cone as the scalar move does."""
+    ``_nudge_collisions``, ``_chord_midpoints``).  A move is one
+    ``exp_config``, which raises ``DegenerateTrajectoryError`` through a cone."""
 
     def __init__(self, config: Configuration, tol: float):
         self.config, self.tol = config, tol

@@ -463,6 +463,14 @@ class TestHessian:
         with pytest.raises(lf.NotSmoothCriticalError):
             lf.hessian_index_nullity(example_square_config())
 
+    def test_uncertified_pairs_raise_as_the_scalar_listing_does(self):
+        # segment_batch reads a coincident pair as unique, with length 0
+        x = lf.configuration(TREC, [[0.1, 0.2], [0.1, 0.2], [0.4, 0.3]])
+        with pytest.raises(lf.CoincidentPointsError, match="points 0 and 1 coincide"):
+            lf.hessian_index_nullity(x)
+        with pytest.raises(lf.NotSmoothCriticalError, match="segment 0 has 2 minimizing"):
+            lf.hessian_index_nullity(example_square_config())
+
 
 def sampled_loop(g, k):
     return lf.Configuration(g.space, tuple(lf.point_at(g, 2 * math.pi * i / k) for i in range(k)))
